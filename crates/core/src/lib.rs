@@ -34,7 +34,6 @@ pub mod par;
 pub mod plan;
 pub mod rng;
 pub mod sig;
-pub mod spsc;
 pub mod sync;
 
 pub use bitmap::PortBitmap;
@@ -56,5 +55,4 @@ pub use sig::{
     cluster_layer_cached, CacheOutcome, CacheShard, CanonicalLayer, EncodeCache, LayerSig,
     SigHasher, CACHE_MIN_ROWS,
 };
-pub use spsc::{spsc, spsc_in, SpscReceiver, SpscReceiverIn, SpscSender, SpscSenderIn};
-pub use sync::{AtomicCell, Pending, Stamp};
+pub use sync::Stamp;

@@ -18,14 +18,15 @@
 //! (`hop_scratch`) are reused across injections so the steady state
 //! allocates nothing but the delivered copies themselves.
 //! [`Fabric::inject_reference`] keeps the pre-change encode-per-hop path
-//! alive for byte-identity golden tests and A/B benchmarking; the sharded
-//! multi-core variant of this loop lives in [`crate::shard`].
+//! alive for byte-identity golden tests and A/B benchmarking; the batched,
+//! packet-parallel variant of this loop lives in [`crate::shard`].
 
 use elmo_core::{pop, HeaderLayout};
 use elmo_topology::{Clos, CoreId, HostId, LeafId, PodId, SpineId, SwitchRef};
 
 use crate::netswitch::{NetworkSwitch, SwitchConfig, HOST_STRIPPED};
 use crate::packet::FlightPacket;
+use crate::shard::HopTable;
 
 /// Aggregate per-tier traffic counters (bytes and packets on the wire).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
@@ -40,9 +41,9 @@ pub struct FabricStats {
 }
 
 impl FabricStats {
-    /// Fold another shard's counters into this one. Addition is the only
-    /// merge: every field is a sum over link events, so per-shard totals
-    /// combined in any order equal the serial totals.
+    /// Fold another worker's counters into this one. Addition is the
+    /// only merge: every field is a sum over link events, so per-worker
+    /// totals combined in any order equal the serial totals.
     pub fn absorb(&mut self, o: &FabricStats) {
         self.host_to_leaf_bytes += o.host_to_leaf_bytes;
         self.leaf_to_host_bytes += o.leaf_to_host_bytes;
@@ -51,6 +52,35 @@ impl FabricStats {
         self.spine_to_core_bytes += o.spine_to_core_bytes;
         self.core_to_spine_bytes += o.core_to_spine_bytes;
         self.packets_on_links += o.packets_on_links;
+    }
+
+    /// Count `n` bytes on a switch-to-switch link of `tier`.
+    #[inline]
+    pub(crate) fn add_tier(&mut self, tier: LinkTier, n: u64) {
+        match tier {
+            LinkTier::LeafSpine => self.leaf_to_spine_bytes += n,
+            LinkTier::SpineLeaf => self.spine_to_leaf_bytes += n,
+            LinkTier::SpineCore => self.spine_to_core_bytes += n,
+            LinkTier::CoreSpine => self.core_to_spine_bytes += n,
+        }
+    }
+
+    /// Add these counts to the process-wide `fabric.*` mirrors.
+    pub(crate) fn mirror(&self) {
+        let m = metrics();
+        for (counter, n) in [
+            (&m.host_to_leaf_bytes, self.host_to_leaf_bytes),
+            (&m.leaf_to_host_bytes, self.leaf_to_host_bytes),
+            (&m.leaf_to_spine_bytes, self.leaf_to_spine_bytes),
+            (&m.spine_to_leaf_bytes, self.spine_to_leaf_bytes),
+            (&m.spine_to_core_bytes, self.spine_to_core_bytes),
+            (&m.core_to_spine_bytes, self.core_to_spine_bytes),
+            (&m.packets_on_links, self.packets_on_links),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 
     /// Total bytes crossing any link (the numerator of traffic overhead).
@@ -84,16 +114,12 @@ pub(crate) struct FabricMetrics {
     /// Packet copies serialized back to wire bytes (host deliveries and
     /// captured copies) — every other copy moved as structs only.
     pub(crate) replay_materialized: elmo_obs::Counter,
-    /// Flight copies that crossed a shard boundary through an SPSC ring in
-    /// the sharded replay engine. Deterministic for a fixed topology,
-    /// batch, and shard count (the partition fixes each hop's owner).
-    pub(crate) shard_cross_msgs: elmo_obs::Counter,
-    /// Sharded batch injections run (`inject_*_sharded` calls that took
-    /// the multi-worker path rather than the serial fallback).
+    /// Batches run by the batched replay engine (`*_sharded` calls that
+    /// did not take the serial fallback).
     pub(crate) shard_batches: elmo_obs::Counter,
-    /// Sharded replay calls forced onto the serial path because a capture
+    /// Batched replay calls forced onto the serial path because a capture
     /// or hop-trace session pins traversal order (the copy-tree trace
-    /// does not — it shards fine).
+    /// does not — it runs on the workers).
     pub(crate) trace_serial_fallback: elmo_obs::Counter,
     /// Copy-tree trace events handed out by `take_tree_trace`.
     pub(crate) trace_events: elmo_obs::Counter,
@@ -112,16 +138,15 @@ pub(crate) fn metrics() -> &'static FabricMetrics {
         replay_buffer_reuse: elmo_obs::counter("fabric.replay.buffer_reuse"),
         replay_fresh_alloc: elmo_obs::counter("fabric.replay.fresh_alloc"),
         replay_materialized: elmo_obs::counter("fabric.replay.materialized"),
-        shard_cross_msgs: elmo_obs::counter("fabric.replay.shard.cross_msgs"),
         shard_batches: elmo_obs::counter("fabric.replay.shard.batches"),
         trace_serial_fallback: elmo_obs::counter("fabric.replay.trace_serial_fallback"),
         trace_events: elmo_obs::counter("trace.events_recorded"),
     })
 }
 
-/// Dense switch numbering shared by the shard partition and the
-/// copy-tree trace: leaves first, then spines, then cores. Trace node
-/// ids must be stable across shard counts, so both derive from this one
+/// Dense switch numbering shared by the batched engine's hop table and
+/// the copy-tree trace: leaves first, then spines, then cores. Trace node
+/// ids must be stable across worker counts, so both derive from this one
 /// function of the topology alone.
 pub fn dense_switch_id(topo: &Clos, sw: SwitchRef) -> u32 {
     match sw {
@@ -171,13 +196,13 @@ pub struct Fabric {
     pub(crate) trace: Option<Vec<HopRecord>>,
     /// When copy-tree tracing, the edge events of every traced injection.
     /// Unlike `trace`/`capture`, an armed tree trace does **not** force
-    /// sharded replay onto the serial path: edge events are recorded
-    /// shard-locally and stitched on merge, and their canonical sort is
-    /// shard-count-invariant.
+    /// batched replay onto the serial path: edge events are recorded
+    /// per worker and stitched on merge, and their canonical sort is
+    /// worker-count-invariant.
     pub(crate) tree: Option<TreeTrace>,
-    /// Flight-recorder ring capacity per replay shard (0 = off).
+    /// Flight-recorder ring capacity per replay worker (0 = off).
     pub(crate) recorder_cap: usize,
-    /// The per-shard flight recorders of the last sharded batch (empty
+    /// The per-worker flight recorders of the last batched replay (empty
     /// until a batch runs with `recorder_cap > 0`).
     pub(crate) flight_recorders: Vec<elmo_obs::FlightRecorder>,
     /// When capturing, `(capture limit, captured packets)`: every copy
@@ -192,6 +217,9 @@ pub struct Fabric {
     flight_queue: FlightQueue,
     /// Reusable per-hop output buffer handed to `process_hops`.
     hop_scratch: Vec<(u16, u8)>,
+    /// Every switch's output ports resolved to their next stop, for the
+    /// batched engine.
+    pub(crate) hops: HopTable,
     /// Link counters.
     pub stats: FabricStats,
 }
@@ -235,7 +263,7 @@ impl FlightQueue {
 
 /// An armed copy-tree trace session: the accumulated edge events plus
 /// the packet counter that numbers serial injections. Packet indices —
-/// serial injection order, or batch index in the sharded engine — and
+/// serial injection order, or batch index in the batched engine — and
 /// dense switch ids are the *only* inputs to trace identity (never wall
 /// clocks), which is what keeps traced runs bit-reproducible.
 #[derive(Clone, Debug, Default)]
@@ -286,6 +314,7 @@ impl Fabric {
             capture: None,
             flight_queue: FlightQueue::default(),
             hop_scratch: Vec::new(),
+            hops: HopTable::new(&topo),
             stats: FabricStats::default(),
         }
     }
@@ -309,9 +338,9 @@ impl Fabric {
     }
 
     /// Arm a copy-tree trace session: every subsequent injection (serial
-    /// or sharded) records one [`elmo_obs::TraceEvent`] per replication
+    /// or batched) records one [`elmo_obs::TraceEvent`] per replication
     /// edge until [`take_tree_trace`](Self::take_tree_trace). One session
-    /// should cover either sequential serial injections or one sharded
+    /// should cover either sequential serial injections or one batched
     /// batch — packet indices restart at the batch boundary.
     pub fn start_tree_trace(&mut self) {
         self.tree = Some(TreeTrace::default());
@@ -323,7 +352,7 @@ impl Fabric {
     }
 
     /// End the trace session and take its events in canonical order
-    /// (sorted by packet, parent, child, state — the shard-invariant
+    /// (sorted by packet, parent, child, state — the worker-invariant
     /// order). Empty if tracing was never armed.
     pub fn take_tree_trace(&mut self) -> Vec<elmo_obs::TraceEvent> {
         let mut events = self.tree.take().map(|t| t.events).unwrap_or_default();
@@ -332,21 +361,21 @@ impl Fabric {
         events
     }
 
-    /// Arm the per-shard flight recorders: each worker of subsequent
-    /// sharded batches keeps a ring of its last `capacity` trace events
+    /// Arm the per-worker flight recorders: each worker of subsequent
+    /// batched replays keeps a ring of its last `capacity` trace events
     /// for postmortem dumps (0 disables). The rings survive until the
-    /// next sharded batch replaces them.
+    /// next batched replay replaces them.
     pub fn arm_flight_recorder(&mut self, capacity: usize) {
         self.recorder_cap = capacity;
         self.flight_recorders.clear();
     }
 
-    /// The per-shard flight recorders of the most recent sharded batch.
+    /// The per-worker flight recorders of the most recent batched replay.
     pub fn flight_recorders(&self) -> &[elmo_obs::FlightRecorder] {
         &self.flight_recorders
     }
 
-    /// Dump every armed shard recorder through the structured log,
+    /// Dump every armed worker recorder through the structured log,
     /// tagged with `reason`; returns the total events dumped.
     pub fn dump_flight_recorders(&self, reason: &str) -> usize {
         self.flight_recorders
@@ -472,6 +501,32 @@ impl Fabric {
         &self.cores[c.0 as usize]
     }
 
+    /// The switch with dense id `dense` (see [`dense_switch_id`]).
+    pub(crate) fn switch_by_dense(&self, dense: u32) -> &NetworkSwitch {
+        match dense_switch_ref(&self.topo, dense) {
+            SwitchRef::Leaf(l) => &self.leaves[l.0 as usize],
+            SwitchRef::Spine(s) => &self.spines[s.0 as usize],
+            SwitchRef::Core(c) => &self.cores[c.0 as usize],
+        }
+    }
+
+    pub(crate) fn switch_by_dense_mut(&mut self, dense: u32) -> &mut NetworkSwitch {
+        match dense_switch_ref(&self.topo, dense) {
+            SwitchRef::Leaf(l) => &mut self.leaves[l.0 as usize],
+            SwitchRef::Spine(s) => &mut self.spines[s.0 as usize],
+            SwitchRef::Core(c) => &mut self.cores[c.0 as usize],
+        }
+    }
+
+    /// Count one packet of `bytes` entering the fabric from a host.
+    pub(crate) fn count_ingress(&mut self, bytes: u64) {
+        self.stats.host_to_leaf_bytes += bytes;
+        self.stats.packets_on_links += 1;
+        let m = metrics();
+        m.host_to_leaf_bytes.add(bytes);
+        m.packets_on_links.inc();
+    }
+
     /// Install an s-rule on every spine of a pod (a logical-spine s-rule must
     /// be present wherever multipath may land the packet).
     pub fn install_pod_srule(
@@ -539,12 +594,7 @@ impl Fabric {
     pub fn inject_flight(&mut self, from: HostId, pkt: FlightPacket) -> Vec<(HostId, Vec<u8>)> {
         let leaf = self.topo.leaf_of_host(from);
         let ingress = self.topo.host_port_on_leaf(from);
-        let wire = pkt.wire_len(&self.layout) as u64;
-        self.stats.host_to_leaf_bytes += wire;
-        self.stats.packets_on_links += 1;
-        let m = metrics();
-        m.host_to_leaf_bytes.add(wire);
-        m.packets_on_links.inc();
+        self.count_ingress(pkt.wire_len(&self.layout) as u64);
         if self.capture.is_some() {
             self.capture_flight(&pkt);
         }
@@ -560,11 +610,7 @@ impl Fabric {
     fn inject_into(&mut self, from: HostId, bytes: &[u8], deliveries: &mut Vec<(HostId, Vec<u8>)>) {
         let leaf = self.topo.leaf_of_host(from);
         let ingress = self.topo.host_port_on_leaf(from);
-        self.stats.host_to_leaf_bytes += bytes.len() as u64;
-        self.stats.packets_on_links += 1;
-        let m = metrics();
-        m.host_to_leaf_bytes.add(bytes.len() as u64);
-        m.packets_on_links.inc();
+        self.count_ingress(bytes.len() as u64);
         self.capture_copy(bytes);
         if self.down.contains(&SwitchRef::Leaf(leaf)) {
             return; // failed ingress leaf: lost before parsing, as before
@@ -747,12 +793,9 @@ impl Fabric {
     pub fn inject_reference(&mut self, from: HostId, bytes: Vec<u8>) -> Vec<(HostId, Vec<u8>)> {
         let leaf = self.topo.leaf_of_host(from);
         let ingress = self.topo.host_port_on_leaf(from);
-        self.stats.host_to_leaf_bytes += bytes.len() as u64;
-        self.stats.packets_on_links += 1;
-        let m = metrics();
-        m.host_to_leaf_bytes.add(bytes.len() as u64);
-        m.packets_on_links.inc();
+        self.count_ingress(bytes.len() as u64);
         self.capture_copy(&bytes);
+        let m = metrics();
         let mut deliveries = Vec::new();
         let mut queue: Vec<(SwitchRef, usize, Vec<u8>)> =
             vec![(SwitchRef::Leaf(leaf), ingress, bytes)];
@@ -819,8 +862,8 @@ impl Fabric {
 }
 
 /// Resolve a switch's output port to the device on the other end. Free
-/// function over [`Clos`] so the sharded workers in [`crate::shard`] can
-/// route hops without borrowing the whole `Fabric`.
+/// function over [`Clos`] so [`crate::shard`]'s hop table can be built
+/// from the topology alone.
 pub(crate) fn next_hop(topo: &Clos, sw: SwitchRef, port: usize) -> Hop {
     match sw {
         SwitchRef::Leaf(l) => {
@@ -877,7 +920,7 @@ pub(crate) enum Hop {
     Switch(SwitchRef, usize, LinkTier),
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum LinkTier {
     LeafSpine,
     SpineLeaf,

@@ -101,9 +101,8 @@ pub struct SwitchStats {
 }
 
 /// Fabric-wide mirrors of the per-switch counters, plus the header-pop
-/// count the per-switch stats don't track. Packet processing is
-/// sequential per switch and counters are commutative, so totals stay
-/// deterministic wherever switches are driven from.
+/// count the per-switch stats don't track. Counters are commutative, so
+/// totals stay deterministic however the forwarding work was split.
 struct DpMetrics {
     prule_hits: elmo_obs::Counter,
     srule_hits: elmo_obs::Counter,
@@ -134,11 +133,17 @@ fn metrics() -> &'static DpMetrics {
 }
 
 impl SwitchStats {
-    // The increment methods touch only the per-switch fields; the
-    // process-wide mirrors are brought up to date by
-    // `NetworkSwitch::flush_global_stats`, which every public processing
-    // entry point calls on exit (the batched replay engine calls it once
-    // per run instead of paying an atomic RMW per matched packet).
+    /// Add another record's counts into this one.
+    pub fn absorb(&mut self, o: &SwitchStats) {
+        self.prule_hits += o.prule_hits;
+        self.srule_hits += o.srule_hits;
+        self.default_hits += o.default_hits;
+        self.unicast_forwarded += o.unicast_forwarded;
+        self.dropped_no_rule += o.dropped_no_rule;
+        self.dropped_parse += o.dropped_parse;
+        self.dropped_header_vector += o.dropped_header_vector;
+    }
+
     fn hit_prule(&mut self) {
         self.prule_hits += 1;
     }
@@ -165,6 +170,46 @@ impl SwitchStats {
 
     fn drop_header_vector(&mut self) {
         self.dropped_header_vector += 1;
+    }
+}
+
+/// What forwarding adds to one switch's counters: its [`SwitchStats`]
+/// plus the header sections it popped. The forwarding path reads the
+/// switch through `&self` and writes only into a record like this, so any
+/// number of threads can forward through one switch at once, each into
+/// its own record; the records are summed afterwards.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub(crate) struct SwitchCounters {
+    pub(crate) stats: SwitchStats,
+    /// Header sections popped (D2d egress).
+    pub(crate) pops: u64,
+}
+
+impl SwitchCounters {
+    /// Add another record's counts into this one.
+    pub(crate) fn absorb(&mut self, o: &SwitchCounters) {
+        self.stats.absorb(&o.stats);
+        self.pops += o.pops;
+    }
+
+    /// Add these counts to the process-wide `dataplane.*` mirrors.
+    pub(crate) fn mirror(&self) {
+        let m = metrics();
+        let (s, pops) = (&self.stats, self.pops);
+        for (counter, n) in [
+            (&m.prule_hits, s.prule_hits),
+            (&m.srule_hits, s.srule_hits),
+            (&m.default_sprays, s.default_hits),
+            (&m.unicast_forwarded, s.unicast_forwarded),
+            (&m.dropped_no_rule, s.dropped_no_rule),
+            (&m.dropped_parse, s.dropped_parse),
+            (&m.dropped_header_vector, s.dropped_header_vector),
+            (&m.header_pops, pops),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 }
 
@@ -282,16 +327,8 @@ pub struct NetworkSwitch {
     table_version: Stamp,
     /// Counters.
     pub stats: SwitchStats,
-    /// Header sections popped by this switch (D2d egress). Only the
-    /// process-wide `dataplane.header_pops` mirror exposes this.
+    /// Header sections popped by this switch (D2d egress).
     pops: u64,
-    /// `stats` values already pushed into the process-wide metric
-    /// mirrors; [`flush_global_stats`](Self::flush_global_stats) adds the
-    /// difference. Counters are monotone (nothing external resets
-    /// `stats`), so the diff is always the unsent remainder.
-    flushed: SwitchStats,
-    /// `pops` value already pushed, likewise.
-    flushed_pops: u64,
 }
 
 impl NetworkSwitch {
@@ -306,8 +343,6 @@ impl NetworkSwitch {
             table_version: Stamp::ZERO,
             stats: SwitchStats::default(),
             pops: 0,
-            flushed: SwitchStats::default(),
-            flushed_pops: 0,
         }
     }
 
@@ -322,8 +357,6 @@ impl NetworkSwitch {
             table_version: Stamp::ZERO,
             stats: SwitchStats::default(),
             pops: 0,
-            flushed: SwitchStats::default(),
-            flushed_pops: 0,
         }
     }
 
@@ -338,8 +371,6 @@ impl NetworkSwitch {
             table_version: Stamp::ZERO,
             stats: SwitchStats::default(),
             pops: 0,
-            flushed: SwitchStats::default(),
-            flushed_pops: 0,
         }
     }
 
@@ -437,8 +468,7 @@ impl NetworkSwitch {
         let pkt = match FlightPacket::parse(bytes, layout) {
             Ok(p) => p,
             Err(_) => {
-                self.stats.drop_parse();
-                self.flush_global_stats();
+                self.note_parse_drop();
                 return Vec::new();
             }
         };
@@ -503,42 +533,50 @@ impl NetworkSwitch {
         out: &mut Vec<(u16, u8)>,
     ) {
         self.check_plan_stale();
-        self.process_hops_hv(ingress_port, pkt, pkt.header_vector_len(layout), out);
-        self.flush_global_stats();
+        let mut c = SwitchCounters::default();
+        self.process_hops_hv(
+            ingress_port,
+            pkt,
+            pkt.header_vector_len(layout),
+            &mut c,
+            out,
+        );
+        self.commit(&c);
     }
 
     /// [`process_hops`](Self::process_hops) with the packet's header-vector
-    /// length supplied by the caller. The batched replay engine precomputes
-    /// every packet's vector length per pop depth once at parse time
+    /// length supplied by the caller and the counts written into `c`
+    /// instead of the switch. The batched replay engine precomputes every
+    /// packet's vector length per pop depth once at parse time
     /// ([`crate::packet::FlightBatch`]), so its inner loop skips the
     /// per-copy header walk this check otherwise costs.
     ///
-    /// Unlike [`process_hops`](Self::process_hops), this does *not* flush
-    /// the per-switch counters into the process-wide metric mirrors —
-    /// the engine calls `flush_global_stats` once per run instead of
-    /// per packet. Direct callers that read global metrics afterwards
-    /// must flush through a wrapper entry point first, and owe a
-    /// [`check_plan_stale`](Self::check_plan_stale) call once per run of
-    /// copies against this switch.
-    pub fn process_hops_hv(
-        &mut self,
+    /// The switch is only read, so replay workers forward through one
+    /// shared fabric at once, each into its own counter records. Nothing
+    /// reaches the switch or the process-wide metric mirrors until the
+    /// caller hands `c` to [`absorb`](Self::absorb) and mirrors it; the
+    /// caller also owes a [`check_plan_stale`](Self::check_plan_stale)
+    /// call before a replay.
+    pub(crate) fn process_hops_hv(
+        &self,
         ingress_port: usize,
         pkt: &FlightPacket,
         header_vector_len: usize,
+        c: &mut SwitchCounters,
         out: &mut Vec<(u16, u8)>,
     ) {
         if header_vector_len > self.config.header_vector_limit {
-            self.stats.drop_header_vector();
+            c.stats.drop_header_vector();
             return;
         }
         if !ipv4::is_multicast(pkt.group_ip) {
-            self.unicast_hops(pkt, out);
+            self.unicast_hops(pkt, c, out);
             return;
         }
         match self.id {
-            SwitchRef::Leaf(l) => self.leaf_hops(l, ingress_port, pkt, out),
-            SwitchRef::Spine(s) => self.spine_hops(s, ingress_port, pkt, out),
-            SwitchRef::Core(c) => self.core_hops(c, pkt, out),
+            SwitchRef::Leaf(l) => self.leaf_hops(l, ingress_port, pkt, c, out),
+            SwitchRef::Spine(s) => self.spine_hops(s, ingress_port, pkt, c, out),
+            SwitchRef::Core(_) => self.core_hops(pkt, c, out),
         }
     }
 
@@ -549,9 +587,9 @@ impl NetworkSwitch {
     /// divergence is counted as `fabric.replay.plan_stale_detected` so
     /// operators and the verify harness see it; debug builds trip
     /// immediately. [`process_hops`](Self::process_hops) checks per
-    /// packet; the run-grouped batched engine calls this once per switch
-    /// run, which covers every copy of the run since the table cannot
-    /// mutate mid-replay (the switch is exclusively borrowed).
+    /// packet; the batched engine checks every switch once per replay on
+    /// the calling thread, which covers every copy of the replay since the
+    /// fabric is borrowed immutably while the workers run.
     #[inline]
     pub fn check_plan_stale(&self) {
         if self.plan.version != self.table_version {
@@ -620,75 +658,56 @@ impl NetworkSwitch {
     /// drop must still land on the leaf's counters like it did when the
     /// leaf parsed every packet itself.
     pub(crate) fn note_parse_drop(&mut self) {
-        self.stats.drop_parse();
-        self.flush_global_stats();
+        let mut c = SwitchCounters::default();
+        c.stats.drop_parse();
+        self.commit(&c);
     }
 
-    /// Push the per-switch counter growth since the last flush into the
-    /// process-wide metric mirrors. Totals are identical to bumping the
-    /// mirrors inline (counter addition commutes); batching turns the
-    /// per-packet atomic RMWs into one guarded `add` per counter per
-    /// call. Every public processing entry point flushes on exit; the
-    /// batched replay engine flushes once per run.
-    pub(crate) fn flush_global_stats(&mut self) {
-        let m = metrics();
-        let (cur, last) = (self.stats, self.flushed);
-        if cur.prule_hits != last.prule_hits {
-            m.prule_hits.add(cur.prule_hits - last.prule_hits);
-        }
-        if cur.srule_hits != last.srule_hits {
-            m.srule_hits.add(cur.srule_hits - last.srule_hits);
-        }
-        if cur.default_hits != last.default_hits {
-            m.default_sprays.add(cur.default_hits - last.default_hits);
-        }
-        if cur.unicast_forwarded != last.unicast_forwarded {
-            m.unicast_forwarded
-                .add(cur.unicast_forwarded - last.unicast_forwarded);
-        }
-        if cur.dropped_no_rule != last.dropped_no_rule {
-            m.dropped_no_rule
-                .add(cur.dropped_no_rule - last.dropped_no_rule);
-        }
-        if cur.dropped_parse != last.dropped_parse {
-            m.dropped_parse.add(cur.dropped_parse - last.dropped_parse);
-        }
-        if cur.dropped_header_vector != last.dropped_header_vector {
-            m.dropped_header_vector
-                .add(cur.dropped_header_vector - last.dropped_header_vector);
-        }
-        if self.pops != self.flushed_pops {
-            m.header_pops.add(self.pops - self.flushed_pops);
-        }
-        self.flushed = cur;
-        self.flushed_pops = self.pops;
+    /// Header sections this switch has popped (D2d egress).
+    pub fn header_pops(&self) -> u64 {
+        self.pops
+    }
+
+    /// Add a forwarding pass's counts to this switch. The process-wide
+    /// mirrors are left to the caller, which may sum many records first.
+    pub(crate) fn absorb(&mut self, c: &SwitchCounters) {
+        self.stats.absorb(&c.stats);
+        self.pops += c.pops;
+    }
+
+    /// [`absorb`](Self::absorb) plus the process-wide mirrors: how every
+    /// single-switch entry point finishes.
+    fn commit(&mut self, c: &SwitchCounters) {
+        self.absorb(c);
+        c.mirror();
     }
 
     fn leaf_hops(
-        &mut self,
+        &self,
         leaf: LeafId,
         ingress_port: usize,
         pkt: &FlightPacket,
+        c: &mut SwitchCounters,
         out: &mut Vec<(u16, u8)>,
     ) {
         let from_host = ingress_port < self.topo.leaf_down_ports();
         if pkt.elmo.is_none() {
-            self.stats.drop_parse();
+            c.stats.drop_parse();
             return;
         }
         if from_host {
             // Upstream direction: the u-leaf p-rule drives everything.
             let Some(rule) = pkt.u_leaf() else {
-                self.stats.drop_no_rule();
+                c.stats.drop_no_rule();
                 return;
             };
-            self.stats.hit_prule();
+            c.stats.hit_prule();
             // Copies to co-located receivers: Elmo header fully stripped.
             push_host_hops(&rule.down, out);
             // Copy upward, with the u-leaf rule popped (a depth bump — the
             // shared header itself is untouched).
             if rule.goes_up() {
-                self.pops += 1;
+                c.pops += 1;
                 if rule.multipath {
                     let spine =
                         (pkt.ecmp_hash(leaf.0 as u64) % self.topo.leaf_up_ports() as u64) as usize;
@@ -703,54 +722,53 @@ impl NetworkSwitch {
         }
 
         // Downstream direction: match own identifier among d-leaf p-rules,
-        // then the compiled group table, then the default p-rule. Disjoint
-        // field borrows so the rule can stay borrowed while counters bump.
-        let NetworkSwitch { stats, plan, .. } = self;
+        // then the compiled group table, then the default p-rule.
         if let Some(rule) = pkt.find_d_leaf(leaf.0) {
-            stats.hit_prule();
+            c.stats.hit_prule();
             push_host_hops(&rule.bitmap, out);
-        } else if let Some(words) = plan.lookup(pkt.group_ip) {
-            stats.hit_srule();
+        } else if let Some(words) = self.plan.lookup(pkt.group_ip) {
+            c.stats.hit_srule();
             push_word_hops(words, HOST_STRIPPED, out);
         } else if let Some(bm) = pkt.d_leaf_default() {
-            stats.hit_default();
+            c.stats.hit_default();
             push_host_hops(bm, out);
         } else {
-            stats.drop_no_rule();
+            c.stats.drop_no_rule();
         }
     }
 
     fn spine_hops(
-        &mut self,
+        &self,
         spine: SpineId,
         ingress_port: usize,
         pkt: &FlightPacket,
+        c: &mut SwitchCounters,
         out: &mut Vec<(u16, u8)>,
     ) {
         let from_leaf = ingress_port < self.topo.spine_down_ports();
         if pkt.elmo.is_none() {
-            self.stats.drop_parse();
+            c.stats.drop_parse();
             return;
         }
         if from_leaf {
             // Upstream: the u-spine p-rule.
             let Some(rule) = pkt.u_spine() else {
-                self.stats.drop_no_rule();
+                c.stats.drop_no_rule();
                 return;
             };
-            self.stats.hit_prule();
+            c.stats.hit_prule();
             // Copies down to local member leaves: next hop is a leaf, so pop
             // everything except the d-leaf section (depth jumps straight to
             // D_SPINE; sections already popped upstream are no-ops).
             if !rule.down.is_empty() {
-                self.pops += 3;
+                c.pops += 3;
                 for port in rule.down.iter_ones() {
                     out.push((port as u16, pop::D_SPINE));
                 }
             }
             // Copy upward to the core, u-spine popped.
             if rule.goes_up() {
-                self.pops += 1;
+                c.pops += 1;
                 if rule.multipath {
                     let core = (pkt.ecmp_hash(0x51de ^ spine.0 as u64)
                         % self.topo.spine_up_ports() as u64)
@@ -769,41 +787,38 @@ impl NetworkSwitch {
         // compiled group table, then the default p-rule. Either way the
         // next hop is a leaf, so the spine section is popped.
         let pod = self.topo.pod_of_spine(spine);
-        let NetworkSwitch {
-            stats, plan, pops, ..
-        } = self;
         if let Some(rule) = pkt.find_d_spine(pod.0) {
-            stats.hit_prule();
-            *pops += 1;
+            c.stats.hit_prule();
+            c.pops += 1;
             for port in rule.bitmap.iter_ones() {
                 out.push((port as u16, pop::D_SPINE));
             }
-        } else if let Some(words) = plan.lookup(pkt.group_ip) {
-            stats.hit_srule();
-            *pops += 1;
+        } else if let Some(words) = self.plan.lookup(pkt.group_ip) {
+            c.stats.hit_srule();
+            c.pops += 1;
             push_word_hops(words, pop::D_SPINE, out);
         } else if let Some(bm) = pkt.d_spine_default() {
-            stats.hit_default();
-            *pops += 1;
+            c.stats.hit_default();
+            c.pops += 1;
             for port in bm.iter_ones() {
                 out.push((port as u16, pop::D_SPINE));
             }
         } else {
-            stats.drop_no_rule();
+            c.stats.drop_no_rule();
         }
     }
 
-    fn core_hops(&mut self, _core: CoreId, pkt: &FlightPacket, out: &mut Vec<(u16, u8)>) {
+    fn core_hops(&self, pkt: &FlightPacket, c: &mut SwitchCounters, out: &mut Vec<(u16, u8)>) {
         if pkt.elmo.is_none() {
-            self.stats.drop_parse();
+            c.stats.drop_parse();
             return;
         }
         let Some(pods) = pkt.core_pods() else {
-            self.stats.drop_no_rule();
+            c.stats.drop_no_rule();
             return;
         };
-        self.stats.hit_prule();
-        self.pops += 1;
+        c.stats.hit_prule();
+        c.pops += 1;
         for pod in pods.iter_ones() {
             out.push((pod as u16, pop::CORE));
         }
@@ -812,13 +827,13 @@ impl NetworkSwitch {
     /// Plain underlay unicast on the flight path: route on the destination
     /// host address; the packet itself is forwarded unmodified (its pop
     /// depth — and `None` Elmo header — carry through).
-    fn unicast_hops(&mut self, pkt: &FlightPacket, out: &mut Vec<(u16, u8)>) {
+    fn unicast_hops(&self, pkt: &FlightPacket, c: &mut SwitchCounters, out: &mut Vec<(u16, u8)>) {
         let Some(dst_host) = crate::hypervisor::host_of_ip(pkt.group_ip) else {
-            self.stats.drop_parse();
+            c.stats.drop_parse();
             return;
         };
         if dst_host.0 as usize >= self.topo.num_hosts() {
-            self.stats.drop_parse();
+            c.stats.drop_parse();
             return;
         }
         let dst_leaf = self.topo.leaf_of_host(dst_host);
@@ -844,7 +859,7 @@ impl NetworkSwitch {
             }
             SwitchRef::Core(_) => dst_pod.0 as usize,
         };
-        self.stats.hit_unicast();
+        c.stats.hit_unicast();
         out.push((port as u16, pkt.popped));
     }
 
@@ -860,69 +875,72 @@ impl NetworkSwitch {
         bytes: &[u8],
         layout: &HeaderLayout,
     ) -> Vec<(usize, Vec<u8>)> {
-        let out = self.process_reference_inner(ingress_port, bytes, layout);
-        self.flush_global_stats();
+        let mut c = SwitchCounters::default();
+        let out = self.process_reference_inner(ingress_port, bytes, layout, &mut c);
+        self.commit(&c);
         out
     }
 
     fn process_reference_inner(
-        &mut self,
+        &self,
         ingress_port: usize,
         bytes: &[u8],
         layout: &HeaderLayout,
+        c: &mut SwitchCounters,
     ) -> Vec<(usize, Vec<u8>)> {
         let (repr, inner_off) = match ElmoPacketRepr::parse(bytes, layout) {
             Ok(p) => p,
             Err(_) => {
-                self.stats.drop_parse();
+                c.stats.drop_parse();
                 return Vec::new();
             }
         };
         if repr.header_vector_len(layout) > self.config.header_vector_limit {
-            self.stats.drop_header_vector();
+            c.stats.drop_header_vector();
             return Vec::new();
         }
         let inner = &bytes[inner_off..];
         if !ipv4::is_multicast(repr.group_ip) {
-            return self.forward_unicast(repr, inner, layout);
+            return self.forward_unicast(repr, inner, layout, c);
         }
         match self.id {
-            SwitchRef::Leaf(l) => self.process_leaf(l, ingress_port, repr, inner, layout),
-            SwitchRef::Spine(s) => self.process_spine(s, ingress_port, repr, inner, layout),
-            SwitchRef::Core(c) => self.process_core(c, repr, inner, layout),
+            SwitchRef::Leaf(l) => self.process_leaf(l, ingress_port, repr, inner, layout, c),
+            SwitchRef::Spine(s) => self.process_spine(s, ingress_port, repr, inner, layout, c),
+            SwitchRef::Core(_) => self.process_core(repr, inner, layout, c),
         }
     }
 
     // ----- multicast paths (reference implementation) ------------------------
 
     fn process_leaf(
-        &mut self,
+        &self,
         leaf: LeafId,
         ingress_port: usize,
         mut repr: ElmoPacketRepr,
         inner: &[u8],
         layout: &HeaderLayout,
+        c: &mut SwitchCounters,
     ) -> Vec<(usize, Vec<u8>)> {
         let from_host = ingress_port < self.topo.leaf_down_ports();
         let mut out = Vec::new();
         if from_host {
             // Upstream direction: the u-leaf p-rule drives everything.
             let Some(header) = repr.elmo.take() else {
-                self.stats.drop_parse();
+                c.stats.drop_parse();
                 return out;
             };
             let Some(rule) = header.u_leaf.clone() else {
-                self.stats.drop_no_rule();
+                c.stats.drop_no_rule();
                 return out;
             };
-            self.stats.hit_prule();
+            c.stats.hit_prule();
             // Copies to co-located receivers: Elmo header fully stripped.
             self.emit_host_copies(&rule.down, &repr, inner, layout, &mut out);
             // Copy upward, with the u-leaf rule popped.
             if rule.goes_up() {
                 let mut up_header = header;
                 up_header.pop_upstream_leaf();
-                self.pops += 1;
+                c.pops += 1;
                 repr.elmo = Some(up_header);
                 if rule.multipath {
                     let spine = (ecmp_hash(&repr, leaf.0 as u64) % self.topo.leaf_up_ports() as u64)
@@ -946,20 +964,20 @@ impl NetworkSwitch {
         // Downstream direction: match own identifier among d-leaf p-rules,
         // then the group table, then the default p-rule.
         let Some(header) = repr.elmo.take() else {
-            self.stats.drop_parse();
+            c.stats.drop_parse();
             return out;
         };
         let ports: Option<PortBitmap> = if let Some(rule) = header.find_d_leaf(leaf.0) {
-            self.stats.hit_prule();
+            c.stats.hit_prule();
             Some(rule.bitmap.clone())
         } else if let Some(bm) = self.group_table.get(&repr.group_ip) {
-            self.stats.hit_srule();
+            c.stats.hit_srule();
             Some(bm.clone())
         } else if let Some(bm) = &header.d_leaf_default {
-            self.stats.hit_default();
+            c.stats.hit_default();
             Some(bm.clone())
         } else {
-            self.stats.drop_no_rule();
+            c.stats.drop_no_rule();
             None
         };
         if let Some(ports) = ports {
@@ -969,26 +987,27 @@ impl NetworkSwitch {
     }
 
     fn process_spine(
-        &mut self,
+        &self,
         spine: SpineId,
         ingress_port: usize,
         mut repr: ElmoPacketRepr,
         inner: &[u8],
         layout: &HeaderLayout,
+        c: &mut SwitchCounters,
     ) -> Vec<(usize, Vec<u8>)> {
         let from_leaf = ingress_port < self.topo.spine_down_ports();
         let mut out = Vec::new();
         let Some(header) = repr.elmo.take() else {
-            self.stats.drop_parse();
+            c.stats.drop_parse();
             return out;
         };
         if from_leaf {
             // Upstream: the u-spine p-rule.
             let Some(rule) = header.u_spine.clone() else {
-                self.stats.drop_no_rule();
+                c.stats.drop_no_rule();
                 return out;
             };
-            self.stats.hit_prule();
+            c.stats.hit_prule();
             // Copies down to local member leaves: next hop is a leaf, so pop
             // everything except the d-leaf section.
             if !rule.down.is_empty() {
@@ -996,7 +1015,7 @@ impl NetworkSwitch {
                 down_header.pop_upstream_spine();
                 down_header.pop_core();
                 down_header.pop_d_spine();
-                self.pops += 3;
+                c.pops += 3;
                 let mut down_repr = repr.clone();
                 down_repr.elmo = Some(down_header);
                 for port in rule.down.iter_ones() {
@@ -1007,7 +1026,7 @@ impl NetworkSwitch {
             if rule.goes_up() {
                 let mut up_header = header;
                 up_header.pop_upstream_spine();
-                self.pops += 1;
+                c.pops += 1;
                 repr.elmo = Some(up_header);
                 if rule.multipath {
                     let core = (ecmp_hash(&repr, 0x51de ^ spine.0 as u64)
@@ -1033,23 +1052,23 @@ impl NetworkSwitch {
         // table, then the default p-rule.
         let pod = self.topo.pod_of_spine(spine);
         let ports: Option<PortBitmap> = if let Some(rule) = header.find_d_spine(pod.0) {
-            self.stats.hit_prule();
+            c.stats.hit_prule();
             Some(rule.bitmap.clone())
         } else if let Some(bm) = self.group_table.get(&repr.group_ip) {
-            self.stats.hit_srule();
+            c.stats.hit_srule();
             Some(bm.clone())
         } else if let Some(bm) = &header.d_spine_default {
-            self.stats.hit_default();
+            c.stats.hit_default();
             Some(bm.clone())
         } else {
-            self.stats.drop_no_rule();
+            c.stats.drop_no_rule();
             None
         };
         if let Some(ports) = ports {
             // Next hop is a leaf: pop the spine section.
             let mut down_header = header;
             down_header.pop_d_spine();
-            self.pops += 1;
+            c.pops += 1;
             repr.elmo = Some(down_header);
             for port in ports.iter_ones() {
                 out.push((port, self.encode(&repr, inner, layout)));
@@ -1059,25 +1078,25 @@ impl NetworkSwitch {
     }
 
     fn process_core(
-        &mut self,
-        _core: CoreId,
+        &self,
         mut repr: ElmoPacketRepr,
         inner: &[u8],
         layout: &HeaderLayout,
+        c: &mut SwitchCounters,
     ) -> Vec<(usize, Vec<u8>)> {
         let mut out = Vec::new();
         let Some(header) = repr.elmo.take() else {
-            self.stats.drop_parse();
+            c.stats.drop_parse();
             return out;
         };
         let Some(pods) = header.core.clone() else {
-            self.stats.drop_no_rule();
+            c.stats.drop_no_rule();
             return out;
         };
-        self.stats.hit_prule();
+        c.stats.hit_prule();
         let mut down_header = header;
         down_header.pop_core();
-        self.pops += 1;
+        c.pops += 1;
         repr.elmo = Some(down_header);
         for pod in pods.iter_ones() {
             out.push((pod, self.encode(&repr, inner, layout)));
@@ -1090,17 +1109,18 @@ impl NetworkSwitch {
     /// Plain underlay unicast: route on the destination host address. Used by
     /// the unicast/overlay baselines and Elmo's failure fallback.
     fn forward_unicast(
-        &mut self,
+        &self,
         repr: ElmoPacketRepr,
         inner: &[u8],
         layout: &HeaderLayout,
+        c: &mut SwitchCounters,
     ) -> Vec<(usize, Vec<u8>)> {
         let Some(dst_host) = crate::hypervisor::host_of_ip(repr.group_ip) else {
-            self.stats.drop_parse();
+            c.stats.drop_parse();
             return Vec::new();
         };
         if dst_host.0 as usize >= self.topo.num_hosts() {
-            self.stats.drop_parse();
+            c.stats.drop_parse();
             return Vec::new();
         }
         let dst_leaf = self.topo.leaf_of_host(dst_host);
@@ -1126,7 +1146,7 @@ impl NetworkSwitch {
             }
             SwitchRef::Core(_) => dst_pod.0 as usize,
         };
-        self.stats.hit_unicast();
+        c.stats.hit_unicast();
         vec![(port, self.encode(&repr, inner, layout))]
     }
 

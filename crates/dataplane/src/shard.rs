@@ -1,37 +1,24 @@
-//! Sharded multi-core replay: the fabric's switches partitioned across
-//! worker threads, each owning a disjoint switch set, with bounded SPSC
-//! rings carrying the flight copies that cross shard boundaries.
+//! Packet-parallel replay: a batch of parsed packets split into
+//! contiguous packet-index ranges, one per worker, every worker
+//! forwarding through the same shared `&Fabric`.
 //!
-//! # Partition
+//! # Why packets are independent
 //!
-//! Every switch has exactly one owning shard for the whole batch:
+//! An Elmo header carries the packet's whole multicast tree (paper §4.1).
+//! A switch decides a copy's fate from the header, its own id and its
+//! group table, and forwarding writes nothing into the switch except
+//! counters. So no two packets interact, and a worker can replay any
+//! subset of a batch against the shared fabric as long as it keeps its
+//! counts to itself. `NetworkSwitch::process_hops_hv` takes `&self`
+//! plus a `SwitchCounters` record for exactly this reason.
 //!
-//! * the leaves **and** spines of pod `p` go to shard `p % n`, so the two
-//!   hops of every intra-pod traversal (leaf→spine, spine→leaf) stay
-//!   shard-local — in the paper's Clos this is the vast majority of hops
-//!   for rack-local and pod-local groups;
-//! * cores are dealt round-robin (`core % n`), since core hops are the
-//!   cross-pod traffic that must cross shards anyway.
-//!
-//! Ownership is enforced by construction, not locks: the `Fabric`'s switch
-//! vectors are taken apart and moved into the workers, then reassembled
-//! (same order, same switches, now with updated per-switch counters) after
-//! the join. No switch is ever aliased by two threads, so the engine is
-//! safe Rust with zero `unsafe`.
-//!
-//! # Cross-shard protocol
-//!
-//! Each ordered worker pair gets one bounded SPSC ring
-//! ([`elmo_core::spsc`]); a copy whose next switch lives elsewhere is sent
-//! as a small `Copy` [`ShardMsg`] — dense switch index, ingress port, pop
-//! depth, and the batch index of the packet it belongs to. Workers clone
-//! the batch's `FlightPacket`s once up front (bumping each header/payload
-//! `Arc` once per worker, never per hop), so a ring message is all a
-//! receiving shard needs to resume the traversal.
-//!
-//! When a ring fills, the producer drains its *own* incoming rings into
-//! its local queue while retrying, which breaks any cycle of full rings —
-//! progress is always possible somewhere, so the engine cannot deadlock.
+//! Each worker owns one counter record per switch, a [`FabricStats`], a
+//! delivery segment, its trace events and its flight recorder. After
+//! `std::thread::scope` joins, the calling thread adds them into the
+//! fabric in worker order and pushes the totals into the `elmo_obs`
+//! mirrors once, so worker threads never touch the metric registry. With
+//! one worker the loop runs inline and no thread is spawned; with more,
+//! the calling thread runs the first range itself.
 //!
 //! # Deliveries: zero-copy to the very end
 //!
@@ -49,53 +36,43 @@
 //!
 //! # Run grouping
 //!
-//! Within a worker, pending copies are not a single queue: each owned
-//! switch has its own struct-of-arrays *bucket*, and the worker drains
-//! one whole bucket per iteration (swapping it out first — a switch
-//! never forwards to itself, so the run cannot grow under its own feet).
-//! Everything per-switch is then amortized over the run instead of paid
-//! per copy: the switch borrow, its compiled
-//! [`MatchPlan`](crate::netswitch::NetworkSwitch)'s cache lines, the
-//! failed-switch check, the termination counter (two atomic RMWs per
-//! *run*), and the global obs counters (one `add` per touched counter
-//! per run). Copy lengths come from the batch's precomputed
-//! [`FlightBatch`] wire-length rows, and output ports resolve through
-//! the [`Partition`]'s compiled hop table — the inner loop never walks a
-//! header or the topology math.
+//! Within a worker, pending copies are not a single queue: each switch
+//! has its own struct-of-arrays *bucket*, and the worker drains one whole
+//! bucket per iteration (swapping it out first — a switch never forwards
+//! to itself, so the run cannot grow under its own feet). The switch
+//! lookup, its compiled [`MatchPlan`](crate::netswitch::NetworkSwitch)'s
+//! cache lines, its counter record and the failed-switch check are paid
+//! once per run instead of per copy. Copy lengths come from the batch's
+//! precomputed [`FlightBatch`] wire-length rows, and output ports resolve
+//! through the fabric's compiled [`HopTable`] — the inner loop never
+//! walks a header or the topology math.
 //!
-//! # Termination and determinism
+//! # Determinism
 //!
-//! A single atomic counter tracks copies that are queued anywhere but not
-//! yet processed. Producers increment it *before* publishing a copy and
-//! decrement only after fully processing one — run-grouped: all of a
-//! run's children are counted in one increment before any is published,
-//! and the run's own entries are decremented in one subtraction after —
-//! so it can only read zero when every bucket and every ring is empty,
-//! the workers' exit condition. (A solo worker skips the counter
-//! entirely and runs inline on the calling thread.)
-//!
-//! The traversal itself is a fixed function of (topology, rules, batch):
-//! which copies exist, which links they cross, and which hosts they reach
-//! do not depend on thread interleaving. Only the *order* in which workers
-//! happen to produce deliveries is racy, so every delivery carries its
-//! batch index and the final iteration order is the canonical sort by
-//! `(packet, host, state)`. The result: byte-identical delivery sequences
-//! and link/switch counters for any shard count, including one — which is
-//! how `tests/replay_identity.rs` pins it.
+//! Which copies exist, which links they cross and which hosts they reach
+//! is a fixed function of (topology, rules, batch). Counters are sums, so
+//! the merge cannot change them. Every delivery carries its batch packet
+//! index, and each worker sorts its own segment into the canonical
+//! `(packet, host, state)` order before it returns. The ranges are
+//! contiguous and the segments are read in worker order, so their
+//! concatenation is the canonical order of the whole batch — the same
+//! byte sequence for any worker count, including one, which is how
+//! `tests/replay_identity.rs` pins it.
 
-use elmo_core::sync::Pending;
-use elmo_core::{resolve_threads, spsc, HeaderLayout, SpscReceiver, SpscSender};
-use elmo_topology::{Clos, CoreId, HostId, LeafId, SpineId, SwitchRef};
+use elmo_core::{resolve_threads, HeaderLayout};
+use elmo_topology::{Clos, HostId, SwitchRef};
 
 use elmo_obs::{FlightRecorder, TraceEvent, HOST_NODE_BIT, TRACE_ROOT};
 
-use crate::fabric::{metrics, next_hop, Fabric, FabricStats, Hop, LinkTier};
-use crate::netswitch::{NetworkSwitch, HOST_STRIPPED};
+use crate::fabric::{
+    dense_switch_id, dense_switch_ref, metrics, next_hop, Fabric, FabricStats, Hop, LinkTier,
+};
+use crate::netswitch::{SwitchCounters, HOST_STRIPPED};
 use crate::packet::{FlightBatch, FlightPacket, HostEmitCache};
 
-/// Count every sharded call that a capture or hop-trace session forces
+/// Count every batched call that a capture or hop-trace session forces
 /// onto the serial path, and say so once per process — silent fallback
-/// made a `--trace-pcap` replay look sharded while it was not.
+/// made a `--trace-pcap` replay look parallel while it was not.
 fn note_trace_serial_fallback(caller: &'static str) {
     metrics().trace_serial_fallback.inc();
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -103,35 +80,16 @@ fn note_trace_serial_fallback(caller: &'static str) {
         elmo_obs::warn!(
             "fabric.replay.trace_serial_fallback",
             caller = caller,
-            reason = "capture/hop-trace session pins traversal order; sharding disabled"
+            reason = "capture/hop-trace session pins traversal order; workers disabled"
         );
     });
 }
-
-/// Capacity of each cross-shard ring, in messages. Full rings are not
-/// fatal (producers drain-and-retry); this just bounds memory and keeps
-/// the common case allocation-free.
-const RING_CAPACITY: usize = 1024;
 
 /// Delivery-state marker for entries recorded by the serial
 /// capture/trace fallback, whose bytes were materialized eagerly into
 /// the segment's side arena (pop depths are tiny; [`HOST_STRIPPED`] is
 /// `u8::MAX`, this sits just below it).
 const FALLBACK_BYTES: u8 = u8::MAX - 1;
-
-/// A flight copy crossing a shard boundary (or queued locally): the copy's
-/// entire state, small and `Copy`.
-#[derive(Clone, Copy, Debug)]
-struct ShardMsg {
-    /// Dense switch index (leaves, then spines, then cores).
-    sw: u32,
-    /// Ingress port on that switch.
-    port: u16,
-    /// Pop depth the copy arrives with.
-    state: u8,
-    /// Index of the packet in the batch this copy belongs to.
-    pkt: u32,
-}
 
 /// One worker's delivery output in struct-of-arrays form. Entry `i` is
 /// `(hosts[i], pkt[i], state[i])`; bytes are derived on demand. The
@@ -146,6 +104,13 @@ struct Segment {
     start: Vec<u32>,
     len: Vec<u32>,
     bytes: Vec<u8>,
+    /// Entry indices in canonical order, set by
+    /// [`sort_canonical`](Self::sort_canonical).
+    order: Vec<u32>,
+    /// Recycled key buffer for the sort.
+    sort_scratch: Vec<(u64, u32)>,
+    /// Recycled per-packet count buffer for the sort.
+    count_scratch: Vec<u32>,
 }
 
 impl Segment {
@@ -156,6 +121,7 @@ impl Segment {
         self.start.clear();
         self.len.clear();
         self.bytes.clear();
+        self.order.clear();
     }
 
     #[inline]
@@ -180,22 +146,80 @@ impl Segment {
         let s = self.start[i] as usize;
         &self.bytes[s..s + self.len[i] as usize]
     }
+
+    /// Build `order`, the canonical `(packet, host, state)` iteration
+    /// order. The `(packet, host)` key decides everything except
+    /// exact-duplicate deliveries, which fall back to the state byte
+    /// (engine entries — two states, two byte strings) or the arena bytes
+    /// (fallback entries).
+    fn sort_canonical(&mut self) {
+        // A packet fans out to a handful of hosts, so this is a counting
+        // sort by packet index (linear) followed by a tiny `(host, state)`
+        // sort inside each packet's run — O(entries + packets), never a
+        // comparison sort over the whole segment. Equal keys are
+        // byte-identical deliveries, so within-run instability and the
+        // run-grouped production order cannot leak through.
+        let lo = self.pkt.iter().copied().min().unwrap_or(0);
+        let hi = self.pkt.iter().copied().max().unwrap_or(0);
+        let span = (hi - lo) as usize + 1;
+        let mut counts = std::mem::take(&mut self.count_scratch);
+        counts.clear();
+        counts.resize(span + 1, 0u32);
+        for &p in &self.pkt {
+            counts[(p - lo) as usize + 1] += 1;
+        }
+        for i in 1..counts.len() {
+            counts[i] += counts[i - 1];
+        }
+        let mut keyed = std::mem::take(&mut self.sort_scratch);
+        keyed.clear();
+        keyed.resize(self.hosts.len(), (0, 0));
+        for i in 0..self.hosts.len() {
+            let p = (self.pkt[i] - lo) as usize;
+            let slot = counts[p] as usize;
+            counts[p] += 1;
+            let k = ((self.hosts[i].0 as u64) << 8) | self.state[i] as u64;
+            keyed[slot] = (k, i as u32);
+        }
+        // After the scatter `counts[p]` is the end of packet `p`'s run.
+        let mut run_start = 0usize;
+        for &end in counts.iter().take(span) {
+            let run_end = end as usize;
+            let run = &mut keyed[run_start..run_end];
+            if run.len() > 1 {
+                run.sort_unstable_by(|a, b| {
+                    a.0.cmp(&b.0).then_with(|| {
+                        if (a.0 & 0xff) as u8 == FALLBACK_BYTES {
+                            self.fallback_bytes(a.1 as usize)
+                                .cmp(self.fallback_bytes(b.1 as usize))
+                        } else {
+                            std::cmp::Ordering::Equal
+                        }
+                    })
+                });
+            }
+            run_start = run_end;
+        }
+        self.order.clear();
+        self.order.extend(keyed.iter().map(|&(_, i)| i));
+        self.sort_scratch = keyed;
+        self.count_scratch = counts;
+    }
 }
 
 /// Host deliveries of one replayed batch, kept zero-copy: each entry is
 /// `(host, batch packet index, pop state)` plus a shared reference to
 /// the batch's [`FlightPacket`]s, and wire bytes are materialized only
 /// when read. Iteration follows the canonical `(packet, host, state)`
-/// order, which is identical for every shard count.
+/// order, which is identical for every worker count.
 ///
 /// Reuse one `DeliveryBatch` across [`Fabric::replay_flights_sharded`]
-/// calls and the steady state allocates nothing: segments, order index,
+/// calls and the steady state allocates nothing: segments, their orders,
 /// and the materialization scratch all keep their capacity.
 #[derive(Clone, Debug, Default)]
 pub struct DeliveryBatch {
+    /// One segment per worker, in packet-range order; each is sorted.
     segments: Vec<Segment>,
-    /// Canonical iteration order as `(segment, entry)` pairs.
-    order: Vec<(u32, u32)>,
     /// The replayed batch, for on-demand materialization. `popped` may
     /// hold worker scratch — the per-entry `state` is authoritative.
     pkts: Vec<FlightPacket>,
@@ -207,10 +231,6 @@ pub struct DeliveryBatch {
     /// Recycled [`FlightBatch`] wire-length rows — handed to the engine
     /// at replay time, returned here after the join.
     wire_scratch: Vec<[u32; 6]>,
-    /// Recycled key buffer for [`sort_canonical`](Self::sort_canonical).
-    sort_scratch: Vec<(u64, u32, u32)>,
-    /// Recycled per-packet count buffer for the counting sort.
-    count_scratch: Vec<u32>,
 }
 
 impl DeliveryBatch {
@@ -220,11 +240,11 @@ impl DeliveryBatch {
 
     /// Delivered copies in the batch.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.segments.iter().map(|s| s.order.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len() == 0
     }
 
     /// Drop the entries but keep every buffer's capacity.
@@ -232,16 +252,16 @@ impl DeliveryBatch {
         for seg in &mut self.segments {
             seg.clear();
         }
-        self.order.clear();
         self.pkts.clear();
     }
 
     /// The deliveries as `(host, batch packet index)` in canonical
     /// order, without materializing any bytes.
     pub fn entries(&self) -> impl Iterator<Item = (HostId, u32)> + '_ {
-        self.order.iter().map(|&(s, i)| {
-            let seg = &self.segments[s as usize];
-            (seg.hosts[i as usize], seg.pkt[i as usize])
+        self.segments.iter().flat_map(|seg| {
+            seg.order
+                .iter()
+                .map(move |&i| (seg.hosts[i as usize], seg.pkt[i as usize]))
         })
     }
 
@@ -261,29 +281,30 @@ impl DeliveryBatch {
         // emit cache reuses the outer stack when only the entropy moved.
         let mut memo: Option<(u32, u8)> = None;
         let mut host_emit = HostEmitCache::new();
-        for &(s, i) in &self.order {
-            let seg = &self.segments[s as usize];
-            let (i, host) = (i as usize, seg.hosts[i as usize]);
-            match seg.state[i] {
-                FALLBACK_BYTES => {
-                    memo = None;
-                    f(host, seg.fallback_bytes(i));
-                }
-                state => {
-                    let pkt_i = seg.pkt[i];
-                    if memo != Some((pkt_i, state)) {
-                        scratch.clear();
-                        let pkt = &self.pkts[pkt_i as usize];
-                        if state == HOST_STRIPPED {
-                            host_emit.append_host_to(pkt, &layout, &mut scratch);
-                        } else {
-                            let mut p = pkt.clone();
-                            p.popped = state;
-                            p.append_to(&layout, &mut scratch);
-                        }
-                        memo = Some((pkt_i, state));
+        for seg in &self.segments {
+            for &i in &seg.order {
+                let (i, host) = (i as usize, seg.hosts[i as usize]);
+                match seg.state[i] {
+                    FALLBACK_BYTES => {
+                        memo = None;
+                        f(host, seg.fallback_bytes(i));
                     }
-                    f(host, &scratch);
+                    state => {
+                        let pkt_i = seg.pkt[i];
+                        if memo != Some((pkt_i, state)) {
+                            scratch.clear();
+                            let pkt = &self.pkts[pkt_i as usize];
+                            if state == HOST_STRIPPED {
+                                host_emit.append_host_to(pkt, &layout, &mut scratch);
+                            } else {
+                                let mut p = pkt.clone();
+                                p.popped = state;
+                                p.append_to(&layout, &mut scratch);
+                            }
+                            memo = Some((pkt_i, state));
+                        }
+                        f(host, &scratch);
+                    }
                 }
             }
         }
@@ -306,79 +327,11 @@ impl DeliveryBatch {
         self.segments.truncate(n);
         self.layout = Some(layout);
     }
-
-    /// Rebuild the canonical iteration order. The `(packet, host)` key
-    /// decides everything except exact-duplicate deliveries, which fall
-    /// back to the state byte (engine entries — two states, two byte
-    /// strings) or the arena bytes (fallback entries).
-    fn sort_canonical(&mut self) {
-        // A packet fans out to a handful of hosts, so the batch is a
-        // counting sort by packet index (linear) followed by a tiny
-        // `(host, state)` sort inside each packet's run — O(entries +
-        // packets), never a comparison sort over the whole batch. Equal
-        // keys are byte-identical deliveries, so within-run instability
-        // and the shard-dependent scatter order cannot leak through.
-        let total: usize = self.segments.iter().map(|s| s.hosts.len()).sum();
-        let mut max_pkt = 0usize;
-        for seg in &self.segments {
-            for &p in &seg.pkt {
-                max_pkt = max_pkt.max(p as usize);
-            }
-        }
-        let mut counts = std::mem::take(&mut self.count_scratch);
-        counts.clear();
-        counts.resize(max_pkt + 2, 0u32);
-        for seg in &self.segments {
-            for &p in &seg.pkt {
-                counts[p as usize + 1] += 1;
-            }
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let mut keyed = std::mem::take(&mut self.sort_scratch);
-        keyed.clear();
-        keyed.resize(total, (0, 0, 0));
-        for (si, seg) in self.segments.iter().enumerate() {
-            for i in 0..seg.hosts.len() {
-                let p = seg.pkt[i] as usize;
-                let slot = counts[p] as usize;
-                counts[p] += 1;
-                let k = ((seg.hosts[i].0 as u64) << 8) | seg.state[i] as u64;
-                keyed[slot] = (k, si as u32, i as u32);
-            }
-        }
-        // After the scatter `counts[p]` is the end of packet `p`'s run.
-        let segs = &self.segments;
-        let mut run_start = 0usize;
-        for &end in counts.iter().take(max_pkt + 1) {
-            let run_end = end as usize;
-            let run = &mut keyed[run_start..run_end];
-            if run.len() > 1 {
-                run.sort_unstable_by(|a, b| {
-                    a.0.cmp(&b.0).then_with(|| {
-                        if (a.0 & 0xff) as u8 == FALLBACK_BYTES {
-                            segs[a.1 as usize]
-                                .fallback_bytes(a.2 as usize)
-                                .cmp(segs[b.1 as usize].fallback_bytes(b.2 as usize))
-                        } else {
-                            std::cmp::Ordering::Equal
-                        }
-                    })
-                });
-            }
-            run_start = run_end;
-        }
-        self.order.clear();
-        self.order.extend(keyed.iter().map(|&(_, s, i)| (s, i)));
-        self.sort_scratch = keyed;
-        self.count_scratch = counts;
-    }
 }
 
-/// One entry of the partition's compiled hop table: where a switch's
-/// output port leads, with the next switch pre-resolved to its dense id.
-#[derive(Clone, Copy)]
+/// One entry of the compiled hop table: where a switch's output port
+/// leads, with the next switch pre-resolved to its dense id.
+#[derive(Clone, Copy, Debug)]
 enum PlannedHop {
     Host(HostId),
     Switch {
@@ -388,109 +341,73 @@ enum PlannedHop {
     },
 }
 
-/// The switch-ownership map for one shard count, plus the compiled hop
-/// table every worker routes through.
-struct Partition {
-    /// Dense switch index → (owning shard, index into that shard's
-    /// switch vector). Local indices follow dense order within a shard,
-    /// which is what makes reassembly a single in-order walk.
-    owner: Vec<(u32, u32)>,
-    num_leaves: usize,
-    num_spines: usize,
-    /// [`next_hop`] precomputed for every `(switch, output port)`:
-    /// `hops[hop_off[dense] + port]`. The workers' inner loop resolves a
-    /// copy's next stop by indexing, never by topology arithmetic (the
-    /// spine→core branch of `next_hop` walks an iterator per call).
+/// [`next_hop`] precomputed for every `(switch, output port)` of a
+/// topology: `hops[off[dense] + port]`. Workers resolve a copy's next
+/// stop by indexing, never by topology arithmetic (the spine→core branch
+/// of `next_hop` walks an iterator per call). Built once per fabric.
+#[derive(Clone, Debug)]
+pub(crate) struct HopTable {
     hops: Vec<PlannedHop>,
-    hop_off: Vec<u32>,
+    off: Vec<u32>,
 }
 
-impl Partition {
-    fn new(topo: &Clos, shards: usize) -> Partition {
-        let (l, s, c) = (topo.num_leaves(), topo.num_spines(), topo.num_cores());
-        let mut owner = Vec::with_capacity(l + s + c);
-        let mut next_local = vec![0u32; shards];
-        let mut assign = |shard: usize, owner: &mut Vec<(u32, u32)>| {
-            let local = next_local[shard];
-            next_local[shard] += 1;
-            owner.push((shard as u32, local));
-        };
-        for i in 0..l {
-            assign(
-                topo.pod_of_leaf(LeafId(i as u32)).0 as usize % shards,
-                &mut owner,
-            );
-        }
-        for i in 0..s {
-            assign(
-                topo.pod_of_spine(SpineId(i as u32)).0 as usize % shards,
-                &mut owner,
-            );
-        }
-        for i in 0..c {
-            assign(i % shards, &mut owner);
-        }
-        let mut part = Partition {
-            owner,
-            num_leaves: l,
-            num_spines: s,
+impl HopTable {
+    pub(crate) fn new(topo: &Clos) -> HopTable {
+        let switches = topo.num_leaves() + topo.num_spines() + topo.num_cores();
+        let mut table = HopTable {
             hops: Vec::new(),
-            hop_off: Vec::with_capacity(l + s + c),
+            off: Vec::with_capacity(switches),
         };
-        for dense in 0..(l + s + c) as u32 {
-            part.hop_off.push(part.hops.len() as u32);
-            let sw = part.switch_ref(dense);
+        for dense in 0..switches as u32 {
+            table.off.push(table.hops.len() as u32);
+            let sw = dense_switch_ref(topo, dense);
             let ports = match sw {
                 SwitchRef::Leaf(_) => topo.leaf_down_ports() + topo.leaf_up_ports(),
                 SwitchRef::Spine(_) => topo.spine_down_ports() + topo.spine_up_ports(),
                 SwitchRef::Core(_) => topo.num_pods(),
             };
             for port in 0..ports {
-                part.hops.push(match next_hop(topo, sw, port) {
+                table.hops.push(match next_hop(topo, sw, port) {
                     Hop::Host(h) => PlannedHop::Host(h),
                     Hop::Switch(next, next_port, tier) => PlannedHop::Switch {
-                        dense: part.dense(next),
+                        dense: dense_switch_id(topo, next),
                         port: next_port as u16,
                         tier,
                     },
                 });
             }
         }
-        part
+        table
     }
 
-    /// The compiled [`next_hop`] for `port` on dense switch `dense`.
+    /// Number of switches (dense ids run `0..switches()`).
+    fn switches(&self) -> usize {
+        self.off.len()
+    }
+
     #[inline]
     fn hop(&self, dense: u32, port: u16) -> PlannedHop {
-        self.hops[self.hop_off[dense as usize] as usize + port as usize]
-    }
-
-    #[inline]
-    fn dense(&self, sw: SwitchRef) -> u32 {
-        match sw {
-            SwitchRef::Leaf(l) => l.0,
-            SwitchRef::Spine(s) => self.num_leaves as u32 + s.0,
-            SwitchRef::Core(c) => (self.num_leaves + self.num_spines) as u32 + c.0,
-        }
-    }
-
-    #[inline]
-    fn switch_ref(&self, dense: u32) -> SwitchRef {
-        let d = dense as usize;
-        if d < self.num_leaves {
-            SwitchRef::Leaf(LeafId(dense))
-        } else if d < self.num_leaves + self.num_spines {
-            SwitchRef::Spine(SpineId((d - self.num_leaves) as u32))
-        } else {
-            SwitchRef::Core(CoreId((d - self.num_leaves - self.num_spines) as u32))
-        }
+        self.hops[self.off[dense as usize] as usize + port as usize]
     }
 }
 
-/// One destination switch's queued copies in struct-of-arrays form.
-/// Entry `i` is `(port[i], state[i], pkt[i])` — the switch itself is the
-/// bucket's identity, so one run through a bucket resolves the switch,
-/// its compiled plan, and its counters exactly once.
+/// A packet's first copy: it enters its ingress leaf from the host.
+#[derive(Clone, Copy, Debug)]
+struct Seed {
+    /// Dense id of the ingress leaf.
+    sw: u32,
+    /// Host-facing ingress port on that leaf.
+    port: u16,
+    /// Pop depth the packet was sent with.
+    state: u8,
+    /// Index of the packet in the batch.
+    pkt: u32,
+}
+
+/// One switch's queued copies in struct-of-arrays form. Entry `i` is
+/// `(port[i], state[i], pkt[i])` — the switch itself is the bucket's
+/// identity, so one run through a bucket resolves the switch, its
+/// compiled plan, and its counter record exactly once.
 #[derive(Clone, Debug, Default)]
 struct Bucket {
     port: Vec<u16>,
@@ -499,11 +416,6 @@ struct Bucket {
 }
 
 impl Bucket {
-    #[inline]
-    fn len(&self) -> usize {
-        self.port.len()
-    }
-
     #[inline]
     fn push(&mut self, port: u16, state: u8, pkt: u32) {
         self.port.push(port);
@@ -518,140 +430,65 @@ impl Bucket {
     }
 }
 
-/// One worker's private state: its owned switches, per-switch work
-/// buckets, scratch, and counters.
-struct Worker {
-    /// Owned switches, dense order.
-    switches: Vec<NetworkSwitch>,
-    /// Dense id of each owned switch (parallel to `switches`).
-    dense_of: Vec<u32>,
-    /// Per-owned-switch pending copies; `active` is a stack of local
-    /// indices whose bucket is non-empty, de-duplicated by `queued`.
-    buckets: Vec<Bucket>,
-    active: Vec<u32>,
-    queued: Vec<bool>,
-    /// The bucket currently being processed, swapped out of `buckets` so
-    /// ring drains during the run land in a fresh bucket.
-    run: Bucket,
-    /// Child copies staged during a run and published together after it
-    /// (one termination-counter increment covers them all).
-    staged: Vec<ShardMsg>,
-    /// Per-hop output scratch handed to `process_hops_hv`.
-    hop_out: Vec<(u16, u8)>,
-    /// This worker's clone of the batch (one `Arc` bump per packet, never
-    /// per hop); `popped` is rewritten in place per copy.
-    pkts: Vec<FlightPacket>,
-    /// Private link counters, absorbed into `Fabric::stats` after join.
-    stats: FabricStats,
-    /// Deliveries: `(host, packet, state)` triples, no bytes.
-    seg: Segment,
-    /// Copies this worker pushed across a shard boundary.
-    cross_msgs: u64,
-    /// Copy-tree trace events recorded by this shard (stitched into the
-    /// fabric's trace session after the join).
+/// Everything one worker counted: a record per switch (dense order),
+/// link counters, trace events, and its flight recorder. Its deliveries
+/// go straight into the worker's own [`Segment`].
+struct Tally {
+    switches: Vec<SwitchCounters>,
+    links: FabricStats,
     events: Vec<TraceEvent>,
-    /// This shard's flight-recorder ring (zero-capacity when disarmed).
     recorder: FlightRecorder,
 }
 
-impl Worker {
-    /// Queue a copy into its destination switch's bucket, activating the
-    /// bucket if it was empty.
-    #[inline]
-    fn enqueue(&mut self, part: &Partition, msg: ShardMsg) {
-        let local = part.owner[msg.sw as usize].1 as usize;
-        self.buckets[local].push(msg.port, msg.state, msg.pkt);
-        if !self.queued[local] {
-            self.queued[local] = true;
-            self.active.push(local as u32);
-        }
-    }
-
-    /// Drain every incoming ring, batch-at-a-time, into the buckets.
-    fn drain_incoming(&mut self, rxs: &mut [SpscReceiver<ShardMsg>], part: &Partition) {
-        for rx in rxs.iter_mut() {
-            while let Some(msg) = rx.try_pop() {
-                self.enqueue(part, msg);
-            }
-        }
-    }
+/// What every worker reads: the fabric, the batch's wire-length rows,
+/// and the trace switches.
+struct Shared<'a> {
+    fabric: &'a Fabric,
+    wire: &'a [[u32; 6]],
+    tracing: bool,
+    recorder_cap: usize,
 }
 
 impl Fabric {
-    /// Inject a batch of wire packets through the sharded engine.
+    /// Inject a batch of wire packets through the batched engine.
     ///
     /// Delivery *set* and all counters are identical to
     /// [`inject_batch`](Self::inject_batch); the returned vector is in
     /// canonical `(packet index, host, bytes)` order, which is the same
-    /// for every `shards` value (0 = one shard per available core).
-    /// Capture and trace sessions force the serial path, since their
-    /// buffers record traversal order.
+    /// for every `shards` value (0 = one worker per available core).
+    /// Each packet is parsed once here, on behalf of its ingress leaf:
+    /// a packet entering through a failed leaf is counted on the wire and
+    /// lost before parsing, and one that fails to parse is counted as a
+    /// parse drop on the leaf. The rest replay through
+    /// [`replay_flights_sharded`](Self::replay_flights_sharded).
     pub fn inject_batch_sharded<I>(&mut self, packets: I, shards: usize) -> Vec<(HostId, Vec<u8>)>
     where
         I: IntoIterator<Item = (HostId, Vec<u8>)>,
     {
-        let shards = resolve_threads(shards).max(1);
-        if self.capture.is_some() || self.trace.is_some() {
-            note_trace_serial_fallback("inject_batch_sharded");
-            let mut tagged = Vec::new();
-            for (i, (from, bytes)) in packets.into_iter().enumerate() {
-                for (h, b) in self.inject(from, bytes) {
-                    tagged.push((i as u32, h, b));
-                }
-            }
-            tagged.sort_unstable_by(|a, b| (a.0, (a.1).0, &a.2).cmp(&(b.0, (b.1).0, &b.2)));
-            return tagged.into_iter().map(|(_, h, b)| (h, b)).collect();
-        }
-        // Serial pre-pass, identical to `inject_into`'s per-packet
-        // prologue: injection accounting, the one parse, and parse-drop
-        // attribution.
-        let m = metrics();
-        let part = Partition::new(&self.topo, shards);
-        let mut batch = FlightBatch::new();
-        let mut seeds = Vec::new();
+        let mut flights = Vec::new();
         for (from, bytes) in packets {
             let leaf = self.topo.leaf_of_host(from);
-            self.stats.host_to_leaf_bytes += bytes.len() as u64;
-            self.stats.packets_on_links += 1;
-            m.host_to_leaf_bytes.add(bytes.len() as u64);
-            m.packets_on_links.inc();
-            if self.down.contains(&SwitchRef::Leaf(leaf)) {
-                continue; // failed ingress leaf: lost before parsing
-            }
-            let pkt = match FlightPacket::parse(&bytes, &self.layout) {
-                Ok(p) => p,
-                Err(_) => {
+            let parsed = if self.down.contains(&SwitchRef::Leaf(leaf)) {
+                None
+            } else {
+                let p = FlightPacket::parse(&bytes, &self.layout).ok();
+                if p.is_none() {
                     self.leaves[leaf.0 as usize].note_parse_drop();
-                    continue;
                 }
+                p
             };
-            let seed = ShardMsg {
-                sw: part.dense(SwitchRef::Leaf(leaf)),
-                port: self.topo.host_port_on_leaf(from) as u16,
-                state: pkt.popped,
-                pkt: batch.len() as u32,
-            };
-            if let Some(t) = &mut self.tree {
-                t.events.push(TraceEvent {
-                    pkt: seed.pkt,
-                    parent: TRACE_ROOT,
-                    child: seed.sw,
-                    state: seed.state,
-                });
+            match parsed {
+                Some(pkt) => flights.push((from, pkt)),
+                None => self.count_ingress(bytes.len() as u64),
             }
-            seeds.push(seed);
-            batch.push(pkt, &self.layout);
         }
         let mut out = DeliveryBatch::new();
-        out.reset(shards, self.layout);
-        self.run_batch(&part, batch, seeds, shards, &mut out);
+        self.replay_flights_sharded(&flights, shards, &mut out);
         out.to_vec()
     }
 
-    /// [`inject_batch_sharded`](Self::inject_batch_sharded) for
-    /// already-parsed packets: same canonical output, returned as owned
-    /// vectors. [`replay_flights_sharded`](Self::replay_flights_sharded)
-    /// is the zero-copy form.
+    /// [`replay_flights_sharded`](Self::replay_flights_sharded) returned
+    /// as owned vectors in the same canonical order.
     pub fn inject_flights_sharded(
         &mut self,
         flights: &[(HostId, FlightPacket)],
@@ -662,13 +499,15 @@ impl Fabric {
         out.to_vec()
     }
 
-    /// The sharded replay engine's primary entry point: drive a batch of
-    /// pre-parsed packets through `shards` workers, filling `out` (which
-    /// is cleared first; its buffers are reused, so repeated replay into
-    /// the same `DeliveryBatch` is allocation-free once warm).
+    /// The batched replay engine's entry point: drive a batch of
+    /// pre-parsed packets through up to `shards` workers (0 = one per
+    /// available core), each replaying a contiguous packet-index range,
+    /// and fill `out` (which is cleared first; its buffers are reused, so
+    /// repeated replay into the same `DeliveryBatch` is allocation-free
+    /// once warm).
     ///
     /// Counters and the canonical delivery sequence are identical to the
-    /// serial flight path for every shard count. Capture and trace
+    /// serial flight path for every worker count. Capture and hop-trace
     /// sessions force the serial path (their buffers record traversal
     /// order, which only the serial loop defines).
     pub fn replay_flights_sharded(
@@ -677,7 +516,6 @@ impl Fabric {
         shards: usize,
         out: &mut DeliveryBatch,
     ) {
-        let shards = resolve_threads(shards).max(1);
         if self.capture.is_some() || self.trace.is_some() {
             note_trace_serial_fallback("replay_flights_sharded");
             out.reset(1, self.layout);
@@ -686,12 +524,10 @@ impl Fabric {
                     out.segments[0].push_bytes(h, i as u32, &b);
                 }
             }
-            out.sort_canonical();
+            out.segments[0].sort_canonical();
             return;
         }
-        let m = metrics();
-        let part = Partition::new(&self.topo, shards);
-        out.reset(shards, self.layout);
+        metrics().shard_batches.inc();
         // Build the SoA batch on the `DeliveryBatch`'s recycled buffers:
         // the packet slots come back for materialization anyway, and the
         // wire-length rows are returned as scratch after the join.
@@ -700,479 +536,212 @@ impl Fabric {
             std::mem::take(&mut out.wire_scratch),
         );
         let mut seeds = Vec::with_capacity(flights.len());
-        let mut ingress_bytes = 0u64;
+        let mut batch_links = FabricStats::default();
         for (from, pkt) in flights {
             let leaf = self.topo.leaf_of_host(*from);
             let idx = batch.len();
             batch.push(pkt.clone(), &self.layout);
-            ingress_bytes += batch.wire_len(idx, pkt.popped) as u64;
+            batch_links.host_to_leaf_bytes += batch.wire_len(idx, pkt.popped) as u64;
             if self.down.contains(&SwitchRef::Leaf(leaf)) {
-                continue;
+                continue; // failed ingress leaf: lost before the first hop
             }
-            let seed = ShardMsg {
-                sw: part.dense(SwitchRef::Leaf(leaf)),
+            seeds.push(Seed {
+                sw: leaf.0,
                 port: self.topo.host_port_on_leaf(*from) as u16,
                 state: pkt.popped,
                 pkt: idx as u32,
-            };
-            if let Some(t) = &mut self.tree {
-                t.events.push(TraceEvent {
-                    pkt: seed.pkt,
-                    parent: TRACE_ROOT,
-                    child: seed.sw,
-                    state: seed.state,
-                });
-            }
-            seeds.push(seed);
+            });
         }
-        // Ingress accounting, batched: one update per replay call, not
-        // two atomic RMWs per packet.
-        self.stats.host_to_leaf_bytes += ingress_bytes;
-        self.stats.packets_on_links += flights.len() as u64;
-        m.host_to_leaf_bytes.add(ingress_bytes);
-        m.packets_on_links.add(flights.len() as u64);
-        self.run_batch(&part, batch, seeds, shards, out);
-    }
-
-    /// The engine core: move the switches out, run the batch to
-    /// completion across `shards` workers (inline on this thread when
-    /// `shards == 1`), move the switches back and merge counters.
-    /// `out` must already be `reset` to `shards` segments.
-    fn run_batch(
-        &mut self,
-        part: &Partition,
-        batch: FlightBatch,
-        seeds: Vec<ShardMsg>,
-        shards: usize,
-        out: &mut DeliveryBatch,
-    ) {
-        let m = metrics();
-        m.shard_batches.inc();
-        let down = self.down.clone();
-        // Trace events are recorded shard-locally and stitched after the
-        // join (the canonical event sort is shard-count-invariant, so no
-        // ordering information is lost). Root events for the seeds were
-        // already recorded by the pre-pass on this thread.
+        batch_links.packets_on_links += flights.len() as u64;
         let tracing = self.tree.is_some();
-        let recorder_cap = self.recorder_cap;
         if let Some(t) = &mut self.tree {
+            t.events.extend(seeds.iter().map(|s| TraceEvent {
+                pkt: s.pkt,
+                parent: TRACE_ROOT,
+                child: s.sw,
+                state: s.state,
+            }));
             // Serial injections after this batch must not reuse its
             // packet indices.
             t.next_pkt = t.next_pkt.max(batch.len() as u32);
         }
-        // Split the batch: packet slots are cloned per worker, the
-        // wire-length rows are immutable and shared by reference.
-        let (pkts, wire) = batch.into_parts();
-
-        // Take the switches apart: each shard's vector holds its owned
-        // switches in dense order (matching `Partition::owner`), with the
-        // dense ids recorded alongside.
-        let leaves = std::mem::take(&mut self.leaves);
-        let spines = std::mem::take(&mut self.spines);
-        let cores = std::mem::take(&mut self.cores);
-        let mut shard_switches: Vec<Vec<NetworkSwitch>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut shard_dense: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-        for (dense, sw) in leaves.into_iter().chain(spines).chain(cores).enumerate() {
-            let shard = part.owner[dense].0 as usize;
-            shard_switches[shard].push(sw);
-            shard_dense[shard].push(dense as u32);
+        // The workers borrow the fabric immutably, so no table can change
+        // under them: one stamp compare per switch covers the whole batch.
+        for sw in self.leaves.iter().chain(&self.spines).chain(&self.cores) {
+            sw.check_plan_stale();
         }
 
-        // Copies queued anywhere but not yet processed. Seeded before the
-        // workers start; producers publish before making a child copy
-        // visible and retire after finishing an entry, so quiescence means
-        // globally done. The protocol lives in `elmo_core::sync::Pending`,
-        // where the `elmo-race` model checker exercises it exhaustively.
-        let pending: Pending = Pending::new(seeds.len());
-
-        // Seed each shard's local queue with the batch entries whose
-        // ingress leaf it owns.
-        let mut seed_per_shard: Vec<Vec<ShardMsg>> = (0..shards).map(|_| Vec::new()).collect();
-        for msg in seeds {
-            seed_per_shard[part.owner[msg.sw as usize].0 as usize].push(msg);
-        }
-
-        // Hand each worker a cleared segment from `out` — when the caller
-        // reuses a `DeliveryBatch`, the previous batch's capacity comes
-        // back here.
-        let segments: Vec<Segment> = out.segments.drain(..).collect();
-
-        let down_ref = &down;
-        let pending_ref = &pending;
-        let wire_ref: &[[u32; 6]] = &wire;
-        let results: Vec<Worker> = if shards == 1 {
-            // One shard: no rings, no threads — the worker loop runs on
-            // this thread with the batch moved in (no clone) and the
-            // termination atomics skipped. This is the batched serial
-            // path the bench records as mode `batched`.
-            let worker = run_worker(
-                shard_switches.pop().expect("one shard"),
-                shard_dense.pop().expect("one dense list"),
-                seed_per_shard.pop().expect("one seed set"),
-                vec![None],
-                Vec::new(),
-                segments.into_iter().next().expect("one segment"),
-                pkts,
-                wire_ref,
-                part,
-                down_ref,
-                pending_ref,
-                tracing,
-                recorder_cap,
-            );
-            vec![worker]
+        let (mut pkts, wire) = batch.into_parts();
+        let chunk = pkts.len().div_ceil(resolve_threads(shards).max(1)).max(1);
+        let workers = pkts.len().div_ceil(chunk).max(1);
+        out.reset(workers, self.layout);
+        let shared = Shared {
+            fabric: self,
+            wire: &wire,
+            tracing,
+            recorder_cap: self.recorder_cap,
+        };
+        let tallies: Vec<Tally> = if workers == 1 {
+            vec![replay_range(
+                &shared,
+                0,
+                &mut pkts,
+                &seeds,
+                &mut out.segments[0],
+            )]
         } else {
-            // One SPSC ring per ordered worker pair. `txs[i][j]` is
-            // worker i's sender toward worker j (None for i == j);
-            // `rxs[j]` holds worker j's receive ends.
-            let mut txs: Vec<Vec<Option<SpscSender<ShardMsg>>>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            let mut rxs: Vec<Vec<SpscReceiver<ShardMsg>>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            for (i, tx_row) in txs.iter_mut().enumerate() {
-                for (j, rx_row) in rxs.iter_mut().enumerate() {
-                    if i == j {
-                        tx_row.push(None);
-                    } else {
-                        let (tx, rx) = spsc(RING_CAPACITY);
-                        tx_row.push(Some(tx));
-                        rx_row.push(rx);
-                    }
-                }
-            }
-            let mut results: Vec<Option<Worker>> = (0..shards).map(|_| None).collect();
-            let pkts_ref = &pkts;
             std::thread::scope(|scope| {
-                let handles: Vec<_> = shard_switches
-                    .into_iter()
-                    .zip(shard_dense)
-                    .zip(txs)
-                    .zip(rxs)
-                    .zip(seed_per_shard)
-                    .zip(segments)
-                    .map(
-                        |(((((switches, dense_of), my_txs), my_rxs), my_seeds), my_seg)| {
-                            scope.spawn(move || {
-                                run_worker(
-                                    switches,
-                                    dense_of,
-                                    my_seeds,
-                                    my_txs,
-                                    my_rxs,
-                                    my_seg,
-                                    pkts_ref.clone(),
-                                    wire_ref,
-                                    part,
-                                    down_ref,
-                                    pending_ref,
-                                    tracing,
-                                    recorder_cap,
-                                )
-                            })
-                        },
-                    )
+                let shared = &shared;
+                let seeds = &seeds;
+                let mut ranges = pkts.chunks_mut(chunk).zip(out.segments.iter_mut());
+                let (first, first_seg) = ranges.next().expect("at least two ranges");
+                let handles: Vec<_> = ranges
+                    .enumerate()
+                    .map(|(i, (range, seg))| {
+                        let base = ((i + 1) * chunk) as u32;
+                        scope.spawn(move || replay_range(shared, base, range, seeds, seg))
+                    })
                     .collect();
-                for (i, h) in handles.into_iter().enumerate() {
-                    results[i] = Some(h.join().expect("shard worker panicked"));
-                }
-            });
-            results
-                .into_iter()
-                .map(|r| r.expect("worker joined"))
-                .collect()
+                let mut tallies = vec![replay_range(shared, 0, first, seeds, first_seg)];
+                tallies.extend(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("replay worker panicked")),
+                );
+                tallies
+            })
         };
 
-        // Reassemble the fabric: local indices were assigned in dense
-        // order, so one in-order walk over each shard's vector puts every
-        // switch back where it came from.
-        let total = part.owner.len();
-        let mut iters: Vec<std::vec::IntoIter<NetworkSwitch>> = Vec::with_capacity(shards);
-        let mut cross_total = 0u64;
-        let mut recorders = Vec::new();
-        for (i, r) in results.into_iter().enumerate() {
-            iters.push(r.switches.into_iter());
-            self.stats.absorb(&r.stats);
-            out.segments.push(r.seg);
-            cross_total += r.cross_msgs;
-            if tracing {
-                if let Some(t) = &mut self.tree {
-                    t.events.extend(r.events);
+        // Merge in worker order, then mirror the batch's totals once.
+        let mut batch_switches = SwitchCounters::default();
+        let mut recorders = Vec::with_capacity(tallies.len());
+        for t in tallies {
+            batch_links.absorb(&t.links);
+            for (dense, c) in t.switches.iter().enumerate() {
+                if *c != SwitchCounters::default() {
+                    self.switch_by_dense_mut(dense as u32).absorb(c);
+                    batch_switches.absorb(c);
                 }
             }
-            if recorder_cap > 0 {
-                recorders.push(r.recorder);
+            if let Some(tree) = &mut self.tree {
+                tree.events.extend(t.events);
             }
-            if i == 0 {
-                // Any worker's batch clone serves materialization (the
-                // packets differ only in `popped` scratch, which the
-                // per-entry state overrides).
-                out.pkts = r.pkts;
-            }
+            recorders.push(t.recorder);
         }
-        for dense in 0..total {
-            let sw = iters[part.owner[dense].0 as usize]
-                .next()
-                .expect("every owned switch returned");
-            match part.switch_ref(dense as u32) {
-                SwitchRef::Leaf(_) => self.leaves.push(sw),
-                SwitchRef::Spine(_) => self.spines.push(sw),
-                SwitchRef::Core(_) => self.cores.push(sw),
-            }
-        }
-        debug_assert_eq!(self.leaves.len(), part.num_leaves);
-        debug_assert_eq!(self.spines.len(), part.num_spines);
-        if recorder_cap > 0 {
+        self.stats.absorb(&batch_links);
+        batch_links.mirror();
+        batch_switches.mirror();
+        metrics().replay_materialized.add(out.len() as u64);
+        if self.recorder_cap > 0 {
             self.flight_recorders = recorders;
         }
-        m.shard_cross_msgs.add(cross_total);
+        out.pkts = pkts;
         out.wire_scratch = wire;
-        out.sort_canonical();
     }
 }
 
-/// One shard's event loop, organized as runs: pick a non-empty bucket,
-/// swap it out, and push every copy in it through the owned switch in a
-/// single borrow. The switch and its compiled `MatchPlan`, the
-/// failed-switch check, the termination counter (two atomic RMWs per
-/// run), and the global obs counters (one `add` per touched counter per
-/// run) are all amortized over the run; per-copy work is an array scan:
-/// bucket SoA in, `hop_out` pairs through the compiled hop table, wire
-/// lengths from the batch's precomputed rows.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    switches: Vec<NetworkSwitch>,
-    dense_of: Vec<u32>,
-    seeds: Vec<ShardMsg>,
-    txs: Vec<Option<SpscSender<ShardMsg>>>,
-    mut rxs: Vec<SpscReceiver<ShardMsg>>,
-    seg: Segment,
-    batch: Vec<FlightPacket>,
-    wire: &[[u32; 6]],
-    part: &Partition,
-    down: &std::collections::BTreeSet<SwitchRef>,
-    pending: &Pending,
-    tracing: bool,
-    recorder_cap: usize,
-) -> Worker {
-    let m = metrics();
-    // A solo worker (one shard, no rings) terminates when its buckets
-    // run dry; the shared counter is only needed when copies can be in
-    // flight elsewhere.
-    let solo = rxs.is_empty();
-    let n = switches.len();
-    let mut w = Worker {
-        switches,
-        dense_of,
-        buckets: (0..n).map(|_| Bucket::default()).collect(),
-        active: Vec::new(),
-        queued: vec![false; n],
-        run: Bucket::default(),
-        staged: Vec::new(),
-        hop_out: Vec::new(),
-        pkts: batch,
-        stats: FabricStats::default(),
-        seg,
-        cross_msgs: 0,
+/// One worker: replay the packets `base..base + pkts.len()` of the batch
+/// in runs — pick a non-empty bucket, swap it out, and push every copy in
+/// it through its switch — recording deliveries into `seg` (sorted
+/// canonically before returning) and counts into the returned [`Tally`].
+fn replay_range(
+    shared: &Shared,
+    base: u32,
+    pkts: &mut [FlightPacket],
+    seeds: &[Seed],
+    seg: &mut Segment,
+) -> Tally {
+    let fabric = shared.fabric;
+    let hops = &fabric.hops;
+    let n = hops.switches();
+    let mut t = Tally {
+        switches: vec![SwitchCounters::default(); n],
+        links: FabricStats::default(),
         events: Vec::new(),
-        recorder: FlightRecorder::new(recorder_cap),
+        recorder: FlightRecorder::new(shared.recorder_cap),
     };
-    for msg in seeds {
-        w.enqueue(part, msg);
+    let mut buckets: Vec<Bucket> = vec![Bucket::default(); n];
+    // Stack of switches whose bucket is non-empty, de-duplicated by
+    // `queued`.
+    let mut active: Vec<u32> = Vec::new();
+    let mut queued = vec![false; n];
+    let mut run = Bucket::default();
+    let mut hop_out: Vec<(u16, u8)> = Vec::new();
+
+    let end = base + pkts.len() as u32;
+    let lo = seeds.partition_point(|s| s.pkt < base);
+    let hi = seeds.partition_point(|s| s.pkt < end);
+    for s in &seeds[lo..hi] {
+        buckets[s.sw as usize].push(s.port, s.state, s.pkt);
+        if !queued[s.sw as usize] {
+            queued[s.sw as usize] = true;
+            active.push(s.sw);
+        }
     }
-    loop {
-        w.drain_incoming(&mut rxs, part);
-        let Some(local) = w.active.pop() else {
-            if solo || pending.quiescent() {
-                break;
-            }
-            std::hint::spin_loop();
-            continue;
-        };
-        let li = local as usize;
-        w.queued[li] = false;
-        // Swap the bucket out: a switch never forwards to itself, so the
-        // run is fixed the moment it starts; ring drains during the run
-        // land in the fresh bucket and re-activate the switch.
-        std::mem::swap(&mut w.buckets[li], &mut w.run);
-        let run_len = w.run.len();
-        let dense_sw = w.dense_of[li];
-        if down.contains(&part.switch_ref(dense_sw)) {
+    while let Some(sw) = active.pop() {
+        let d = sw as usize;
+        queued[d] = false;
+        // A switch never forwards to itself, so the run is fixed the
+        // moment it starts.
+        std::mem::swap(&mut buckets[d], &mut run);
+        if fabric.down.contains(&dense_switch_ref(&fabric.topo, sw)) {
             // Failed switch: the whole run is lost here, exactly as in
             // the serial loop.
-            if !solo {
-                pending.retire(run_len);
-            }
-            w.run.clear();
+            run.clear();
             continue;
         }
-        // Per-run accumulators, flushed once after the run.
-        let mut links = 0u64;
-        let mut tier_bytes = [0u64; 4];
-        let mut host_bytes = 0u64;
-        let mut delivered = 0u64;
-        {
-            // Split the worker's fields so the switch, the packets, and
-            // the scratch buffers can be borrowed simultaneously.
-            let Worker {
-                switches,
-                run,
-                staged,
-                hop_out,
-                pkts,
-                seg,
-                events,
-                recorder,
-                buckets,
-                active,
-                queued,
-                ..
-            } = &mut w;
-            let node = &mut switches[li];
-            // One stamp compare covers the whole run: the switch is
-            // exclusively borrowed, so its table cannot mutate mid-run.
-            node.check_plan_stale();
-            staged.clear();
-            for e in 0..run_len {
-                let (port, state, pkt_i) = (run.port[e], run.state[e], run.pkt[e]);
-                let work = &mut pkts[pkt_i as usize];
-                work.popped = state;
-                let hv = wire[pkt_i as usize][state as usize] as usize - work.payload.len();
-                hop_out.clear();
-                node.process_hops_hv(port as usize, work, hv, hop_out);
-                for &(port_out, out_state) in hop_out.iter() {
-                    links += 1;
-                    let row = &wire[pkt_i as usize];
-                    let n = if out_state == HOST_STRIPPED {
-                        row[5]
-                    } else {
-                        row[out_state as usize]
-                    } as u64;
-                    match part.hop(dense_sw, port_out) {
-                        PlannedHop::Host(h) => {
-                            host_bytes += n;
-                            delivered += 1;
-                            seg.push(h, pkt_i, out_state);
-                            if tracing || recorder_cap > 0 {
-                                let ev = TraceEvent {
-                                    pkt: pkt_i,
-                                    parent: dense_sw,
-                                    child: HOST_NODE_BIT | h.0,
-                                    state: out_state,
-                                };
-                                if tracing {
-                                    events.push(ev);
-                                }
-                                if recorder_cap > 0 {
-                                    recorder.record(ev);
-                                }
-                            }
-                        }
-                        PlannedHop::Switch { dense, port, tier } => {
-                            debug_assert_ne!(
-                                out_state, HOST_STRIPPED,
-                                "stripped copies go to hosts"
-                            );
-                            tier_bytes[tier as usize] += n;
-                            if tracing || recorder_cap > 0 {
-                                let ev = TraceEvent {
-                                    pkt: pkt_i,
-                                    parent: dense_sw,
-                                    child: dense,
-                                    state: out_state,
-                                };
-                                if tracing {
-                                    events.push(ev);
-                                }
-                                if recorder_cap > 0 {
-                                    recorder.record(ev);
-                                }
-                            }
-                            if solo {
-                                // No rings, no termination counter: queue the
-                                // child straight into its bucket. A switch
-                                // never forwards to itself, so the running
-                                // bucket is never the target of its own run,
-                                // and without concurrent drains the resulting
-                                // bucket/active sequence is identical to the
-                                // staged drain below — minus one write+read
-                                // pass over every cross-switch copy.
-                                let local = part.owner[dense as usize].1 as usize;
-                                buckets[local].push(port, out_state, pkt_i);
-                                if !queued[local] {
-                                    queued[local] = true;
-                                    active.push(local as u32);
-                                }
-                            } else {
-                                staged.push(ShardMsg {
-                                    sw: dense,
-                                    port,
-                                    state: out_state,
-                                    pkt: pkt_i,
-                                });
-                            }
-                        }
+        let node = fabric.switch_by_dense(sw);
+        let counters = &mut t.switches[d];
+        for e in 0..run.port.len() {
+            let (port, state, pkt_i) = (run.port[e], run.state[e], run.pkt[e]);
+            let work = &mut pkts[(pkt_i - base) as usize];
+            work.popped = state;
+            let row = &shared.wire[pkt_i as usize];
+            let hv = row[state as usize] as usize - work.payload.len();
+            hop_out.clear();
+            node.process_hops_hv(port as usize, work, hv, counters, &mut hop_out);
+            for &(port_out, out_state) in &hop_out {
+                t.links.packets_on_links += 1;
+                let bytes = if out_state == HOST_STRIPPED {
+                    row[5]
+                } else {
+                    row[out_state as usize]
+                } as u64;
+                let child = match hops.hop(sw, port_out) {
+                    PlannedHop::Host(h) => {
+                        t.links.leaf_to_host_bytes += bytes;
+                        seg.push(h, pkt_i, out_state);
+                        HOST_NODE_BIT | h.0
                     }
-                }
-            }
-            // One guarded add per touched counter for the whole run.
-            node.flush_global_stats();
-        }
-        // Count every staged child before any becomes visible, then
-        // route them; the run's own entries are retired only after
-        // both, so `pending` can never read zero while work exists.
-        if !solo && !w.staged.is_empty() {
-            pending.publish(w.staged.len());
-        }
-        for i in 0..w.staged.len() {
-            let msg = w.staged[i];
-            let owner = part.owner[msg.sw as usize].0 as usize;
-            match &txs[owner] {
-                None => w.enqueue(part, msg),
-                Some(tx) => {
-                    w.cross_msgs += 1;
-                    let mut msg = msg;
-                    // Full ring: drain our own inputs while retrying, so
-                    // no cycle of full rings can stall every producer at
-                    // once.
-                    while let Err(back) = tx.try_push(msg) {
-                        msg = back;
-                        w.drain_incoming(&mut rxs, part);
-                        std::hint::spin_loop();
+                    PlannedHop::Switch { dense, port, tier } => {
+                        debug_assert_ne!(out_state, HOST_STRIPPED, "stripped copies go to hosts");
+                        t.links.add_tier(tier, bytes);
+                        buckets[dense as usize].push(port, out_state, pkt_i);
+                        if !queued[dense as usize] {
+                            queued[dense as usize] = true;
+                            active.push(dense);
+                        }
+                        dense
+                    }
+                };
+                if shared.tracing || shared.recorder_cap > 0 {
+                    let ev = TraceEvent {
+                        pkt: pkt_i,
+                        parent: sw,
+                        child,
+                        state: out_state,
+                    };
+                    if shared.tracing {
+                        t.events.push(ev);
+                    }
+                    if shared.recorder_cap > 0 {
+                        t.recorder.record(ev);
                     }
                 }
             }
         }
-        w.staged.clear();
-        w.stats.packets_on_links += links;
-        if links > 0 {
-            m.packets_on_links.add(links);
-        }
-        if delivered > 0 {
-            w.stats.leaf_to_host_bytes += host_bytes;
-            m.leaf_to_host_bytes.add(host_bytes);
-            m.replay_materialized.add(delivered);
-        }
-        let [ls, sl, sc, cs] = tier_bytes;
-        if ls > 0 {
-            w.stats.leaf_to_spine_bytes += ls;
-            m.leaf_to_spine_bytes.add(ls);
-        }
-        if sl > 0 {
-            w.stats.spine_to_leaf_bytes += sl;
-            m.spine_to_leaf_bytes.add(sl);
-        }
-        if sc > 0 {
-            w.stats.spine_to_core_bytes += sc;
-            m.spine_to_core_bytes.add(sc);
-        }
-        if cs > 0 {
-            w.stats.core_to_spine_bytes += cs;
-            m.core_to_spine_bytes.add(cs);
-        }
-        if !solo {
-            pending.retire(run_len);
-        }
-        w.run.clear();
+        run.clear();
     }
-    w
+    seg.sort_canonical();
+    t
 }

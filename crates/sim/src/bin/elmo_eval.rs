@@ -112,7 +112,6 @@ struct Opts {
     min_group: Option<usize>,
     temporal_events: usize,
     temporal_senders: usize,
-    expect_min_schedules: Option<u64>,
 }
 
 fn parse_args() -> Opts {
@@ -147,7 +146,6 @@ fn parse_args() -> Opts {
         min_group: None,
         temporal_events: 10_000,
         temporal_senders: 2,
-        expect_min_schedules: None,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -214,9 +212,6 @@ fn parse_args() -> Opts {
             "--temporal-senders" => {
                 opts.temporal_senders = expect_num(&mut args, "--temporal-senders") as usize;
             }
-            "--expect-min-schedules" => {
-                opts.expect_min_schedules = Some(expect_num(&mut args, "--expect-min-schedules"));
-            }
             "--windows" => opts.windows = expect_num(&mut args, "--windows") as usize,
             "--tick" => opts.tick = expect_num(&mut args, "--tick") as usize,
             "--timeline-out" => {
@@ -264,7 +259,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: elmo-eval <fig4|fig5|uniform|limited-srules|small-header|table1|table2|table3|\
-         fig6|fig7|telemetry|failures|latency|xpander|verify|churn|race|trace|timeline|all> [--full] \
+         fig6|fig7|telemetry|failures|latency|xpander|verify|churn|trace|timeline|all> [--full] \
          [--groups N] \
          [--tenants N] [--events N] [--pkt N] [--r 0,6,12] [--seed N] [--threads N] \
          [--samples N] [--replay-threads N] [--replay-allow-oversubscribed] \
@@ -272,7 +267,7 @@ fn usage(msg: &str) -> ! {
          [--trace-pcap PATH] \
          [--group N] [--sender H] [--trace-out PATH] [--expect-nodes N] \
          [--burst N] [--delta on|off] [--expect-hit-rate PCT] \
-         [--temporal-events N] [--temporal-senders N] [--expect-min-schedules N] \
+         [--temporal-events N] [--temporal-senders N] \
          [--windows N] [--tick N] [--timeline-out PATH] \
          [-v|-vv|--quiet] [--log-json]\n\
          \n       elmo-eval check-metrics <snapshot.json>"
@@ -334,7 +329,6 @@ fn main() {
             "trace",
             "timeline",
             "churn",
-            "race",
             "table1",
         ] {
             let mut o = opts.clone();
@@ -465,7 +459,6 @@ fn run_one(opts: &Opts) {
         "two-tier" => run_two_tier(opts),
         "verify" => run_verify(opts),
         "churn" => run_churn(opts),
-        "race" => run_race(opts),
         "trace" => run_trace(opts),
         "timeline" => run_timeline(opts),
         other => usage(&format!("unknown experiment: {other}")),
@@ -755,91 +748,6 @@ fn run_verify(opts: &Opts) {
                 );
                 std::process::exit(1);
             }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!();
-}
-
-/// `elmo-eval race` — run the `elmo-race` schedule explorer over every
-/// clean protocol model and every seeded mutation. Exit 1 if a clean
-/// model fails any schedule, a model degenerates below 10 schedules, a
-/// mutation goes uncaught, a witness fails to replay identically, or the
-/// clean-model schedule total falls below `--expect-min-schedules`.
-fn run_race(opts: &Opts) {
-    use elmo_race::{clean_models, mutated_models, Explorer};
-    let explorer = Explorer::default();
-    let mut failed = false;
-    let mut total_schedules = 0u64;
-    for model in clean_models() {
-        let rep = explorer.explore(&model);
-        total_schedules += rep.schedules;
-        let degenerate = rep.schedules < 10;
-        println!(
-            "race clean {}: {} schedules, {} executions -> {}",
-            rep.model,
-            count(rep.schedules),
-            count(rep.executions),
-            if rep.failure.is_none() && !degenerate {
-                "ok"
-            } else {
-                "FAIL"
-            },
-        );
-        if degenerate {
-            failed = true;
-            println!("  model degenerated: fewer than 10 distinct schedules");
-        }
-        if let Some(w) = rep.failure {
-            failed = true;
-            println!("  failure: {} (schedule {:?})", w.message, w.schedule);
-            for line in w.trace.iter().take(30) {
-                println!("    {line}");
-            }
-        }
-    }
-    for model in mutated_models() {
-        let rep = explorer.explore(&model);
-        match rep.failure {
-            Some(w) => {
-                // The witness must replay to the identical failure:
-                // that is what makes it actionable.
-                let replayed = explorer.replay(&model, &w.schedule);
-                let ok = replayed.as_deref() == Some(w.message.as_str());
-                println!(
-                    "race mutated {}: caught in {} executions, {} preemptions, replay {} -> {}",
-                    rep.model,
-                    count(rep.executions),
-                    w.preemptions,
-                    if ok { "identical" } else { "DIVERGED" },
-                    if ok { "ok" } else { "FAIL" },
-                );
-                if !ok {
-                    failed = true;
-                }
-            }
-            None => {
-                failed = true;
-                println!(
-                    "race mutated {}: NOT caught in {} schedules -> FAIL",
-                    rep.model,
-                    count(rep.schedules),
-                );
-            }
-        }
-    }
-    if let Some(floor) = opts.expect_min_schedules {
-        let ok = total_schedules >= floor;
-        println!(
-            "race schedule floor: {} clean-model schedules, floor {} -> {}",
-            count(total_schedules),
-            count(floor),
-            if ok { "ok" } else { "FAIL" },
-        );
-        if !ok {
-            failed = true;
         }
     }
     if failed {

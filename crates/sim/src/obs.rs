@@ -77,7 +77,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     // builds included); any nonzero value is a recompile-discipline bug.
     "fabric.replay.plan_stale_detected",
     "fabric.replay.shard.batches",
-    "fabric.replay.shard.cross_msgs",
     "fabric.replay.trace_serial_fallback",
     // Copy-tree tracing and the windowed time-series (§7 monitoring
     // direction; `elmo-eval trace` / `timeline`).

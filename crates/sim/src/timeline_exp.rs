@@ -1,16 +1,16 @@
 //! The `elmo-eval timeline` experiment: a windowed failure replay that
-//! exercises the [`elmo_obs::Timeline`] ring and the per-shard flight
+//! exercises the [`elmo_obs::Timeline`] ring and the per-worker flight
 //! recorders end to end.
 //!
 //! One cross-pod group replays a fixed per-window packet budget through
-//! the sharded engine for `windows` logical ticks. A third of the way in,
+//! the batched engine for `windows` logical ticks. A third of the way in,
 //! the spine the traced copy tree actually uses is failed; two thirds in
 //! it is restored. Every window closes a [`elmo_obs::TimelineWindow`]
 //! carrying the delivery/drop counter deltas plus absolute gauges
 //! (per-window deliveries, expected deliveries, leaf group-table
 //! occupancy), so the emitted `timeline.jsonl` shows the loss window as a
 //! step the reader can diff against the surrounding healthy windows.
-//! The first shortfall window also dumps the shard flight recorders — the
+//! The first shortfall window also dumps the worker flight recorders — the
 //! "what were the workers doing just before the anomaly" postmortem.
 //!
 //! Windows are logical ticks, never wall clocks: the run is bit-identical
@@ -171,7 +171,7 @@ pub fn run(windows: usize, tick: usize, shards: usize) -> Result<TimelineRun, St
         if delivered < expected {
             loss_windows += 1;
             if !dumped {
-                // First anomaly: capture what each shard worker saw just
+                // First anomaly: capture what each replay worker saw just
                 // before the shortfall.
                 recorder_events = fabric
                     .flight_recorders()

@@ -52,9 +52,9 @@ pub struct VerifyExpConfig {
     pub samples: usize,
     /// Seed for the differential sampler.
     pub seed: u64,
-    /// Shard count for the differential replay: 1 = serial loop, more
-    /// = the sharded multi-core engine, 0 = one shard per core. Either
-    /// way the replays are diffed against the same static walk.
+    /// Worker count for the differential replay: 1 = serial loop, more
+    /// = the batched packet-parallel engine, 0 = one worker per core.
+    /// Either way the replays are diffed against the same static walk.
     pub replay_threads: usize,
 }
 

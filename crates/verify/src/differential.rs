@@ -58,12 +58,15 @@ pub fn differential_check(
     differential_check_with(ctl, fabric, max_samples, seed, 1)
 }
 
-/// [`differential_check`] with the replay routed through the sharded
+/// [`differential_check`] with the replay routed through the batched
 /// engine when `replay_threads > 1` — the same diff against the static
-/// walk, but exercising the multi-core forwarding path (partitioned
-/// switches, cross-shard rings) instead of the serial loop. The walk's
-/// predictions don't change, so any divergence the sharded engine
+/// walk, but exercising the engine's compiled hop table, run-grouped
+/// forwarding and post-join merge instead of the serial loop. The walk's
+/// predictions don't change, so any divergence the batched engine
 /// introduces surfaces as a Loss/Leakage/EncapMismatch violation here.
+/// Each sample replays as its own one-packet batch, which one worker
+/// runs whatever `replay_threads` says; `tests/replay_identity.rs` pins
+/// the multi-worker split.
 pub fn differential_check_with(
     ctl: &Controller,
     fabric: &mut Fabric,

@@ -7,7 +7,10 @@ use std::net::Ipv4Addr;
 use std::sync::Mutex;
 
 use elmo::controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig, VmSlot};
+use elmo::dataplane::{
+    DeliveryBatch, Fabric, FabricStats, FlightPacket, HypervisorSwitch, SenderFlow, SwitchConfig,
+    SwitchStats, VmSlot,
+};
 use elmo::net::vxlan::Vni;
 use elmo::topology::{Clos, HostId, LeafId, PodId};
 
@@ -33,18 +36,22 @@ fn fabric_globals_mirror_local_stats_exactly() {
         members.iter().map(|&h| (HostId(h), MemberRole::Both)),
     );
     let state = ctl.group(gid).expect("group");
-    let mut fabric = Fabric::new(topo, SwitchConfig::default());
-    for (leaf, bm) in &state.enc.d_leaf.s_rules {
+    let build_fabric = || {
+        let mut fabric = Fabric::new(topo, SwitchConfig::default());
+        for (leaf, bm) in &state.enc.d_leaf.s_rules {
+            fabric
+                .leaf_mut(LeafId(*leaf))
+                .install_srule(state.outer_addr, bm.clone())
+                .expect("leaf capacity");
+        }
+        for (pod, bm) in &state.enc.d_spine.s_rules {
+            fabric
+                .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
+                .expect("spine capacity");
+        }
         fabric
-            .leaf_mut(LeafId(*leaf))
-            .install_srule(state.outer_addr, bm.clone())
-            .expect("leaf capacity");
-    }
-    for (pod, bm) in &state.enc.d_spine.s_rules {
-        fabric
-            .install_pod_srule(PodId(*pod), state.outer_addr, bm.clone())
-            .expect("spine capacity");
-    }
+    };
+    let mut fabric = build_fabric();
     let sender = HostId(members[0]);
     let header = ctl.header_for(gid, sender).expect("header");
     let mut hv = HypervisorSwitch::new(sender);
@@ -87,6 +94,88 @@ fn fabric_globals_mirror_local_stats_exactly() {
     assert!(prule + srule > 0, "no switch match source recorded");
     assert!(snap.counter("dataplane.header_pops").unwrap_or(0) > 0);
     assert!(snap.counter("controller.groups_created").unwrap_or(0) >= 1);
+
+    // The batched engine counts on its workers and merges on the calling
+    // thread after the join; the mirrors it then feeds must match the
+    // fabric's own records exactly, with one worker and with four.
+    let mut flights = Vec::new();
+    for &h in &members {
+        let sender = HostId(h);
+        let header = ctl.header_for(gid, sender).expect("header");
+        let mut hv = HypervisorSwitch::new(sender);
+        hv.install_flow(
+            vni,
+            tenant_addr,
+            SenderFlow::new(state.outer_addr, vni, &header, ctl.layout(), vec![]),
+        );
+        for i in 0..3 {
+            let payload = format!("batched obs cross-check #{i}");
+            for pkt in hv.send(vni, tenant_addr, payload.as_bytes(), ctl.layout()) {
+                let flight = FlightPacket::parse(&pkt, ctl.layout()).expect("packet parses");
+                flights.push((sender, flight));
+            }
+        }
+    }
+    for workers in [1usize, 4] {
+        elmo::obs::reset();
+        let mut fabric = build_fabric();
+        let mut out = DeliveryBatch::new();
+        fabric.replay_flights_sharded(&flights, workers, &mut out);
+        assert!(!out.is_empty(), "batched replay must deliver");
+        let snap = elmo::obs::snapshot();
+        let FabricStats {
+            host_to_leaf_bytes,
+            leaf_to_host_bytes,
+            leaf_to_spine_bytes,
+            spine_to_leaf_bytes,
+            spine_to_core_bytes,
+            core_to_spine_bytes,
+            packets_on_links,
+        } = fabric.stats;
+        for (name, local) in [
+            ("fabric.host_to_leaf_bytes", host_to_leaf_bytes),
+            ("fabric.leaf_to_host_bytes", leaf_to_host_bytes),
+            ("fabric.leaf_to_spine_bytes", leaf_to_spine_bytes),
+            ("fabric.spine_to_leaf_bytes", spine_to_leaf_bytes),
+            ("fabric.spine_to_core_bytes", spine_to_core_bytes),
+            ("fabric.core_to_spine_bytes", core_to_spine_bytes),
+            ("fabric.packets_on_links", packets_on_links),
+        ] {
+            assert_eq!(
+                snap.counter(name).unwrap_or(0),
+                local,
+                "{name} at {workers} workers"
+            );
+        }
+        let mut sum = SwitchStats::default();
+        let mut pops = 0;
+        let switches = topo
+            .leaves()
+            .map(|l| fabric.leaf(l))
+            .chain(topo.spines().map(|s| fabric.spine(s)))
+            .chain(topo.cores().map(|c| fabric.core(c)));
+        for sw in switches {
+            sum.absorb(&sw.stats);
+            pops += sw.header_pops();
+        }
+        assert!(sum.prule_hits > 0 && pops > 0);
+        for (name, local) in [
+            ("dataplane.prule_hits", sum.prule_hits),
+            ("dataplane.srule_hits", sum.srule_hits),
+            ("dataplane.default_prule_sprays", sum.default_hits),
+            ("dataplane.unicast_forwarded", sum.unicast_forwarded),
+            ("dataplane.dropped_no_rule", sum.dropped_no_rule),
+            ("dataplane.dropped_parse", sum.dropped_parse),
+            ("dataplane.dropped_header_vector", sum.dropped_header_vector),
+            ("dataplane.header_pops", pops),
+        ] {
+            assert_eq!(
+                snap.counter(name).unwrap_or(0),
+                local,
+                "{name} at {workers} workers"
+            );
+        }
+    }
 }
 
 #[test]

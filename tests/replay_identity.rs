@@ -395,7 +395,31 @@ fn assert_sharded_identical(s: &Scenario, what: &str) {
         );
         assert_fabrics_identical(&serial, &sharded, &format!("{what}: sharded({shards})"));
     }
+    // Batches smaller than the worker count: some workers get one packet,
+    // and with no packets at all the engine still runs one empty range.
+    for len in SMALL_BATCHES {
+        let small = &batch[..len];
+        let mut serial = build_fabric(s);
+        let expected = canonicalize_serial(&mut serial, small);
+        for shards in [1usize, 2, 4, 8] {
+            let mut sharded = build_fabric(s);
+            let got = sharded.inject_batch_sharded(small.to_vec(), shards);
+            assert_eq!(
+                got, expected,
+                "{what}: sharded({shards}) delivery set diverged on {len} packets"
+            );
+            assert_fabrics_identical(
+                &serial,
+                &sharded,
+                &format!("{what}: sharded({shards}), {len} packets"),
+            );
+        }
+    }
 }
+
+/// Batch lengths below most worker counts, replayed by the sharded and
+/// traced identity checks on top of their full batches.
+const SMALL_BATCHES: [usize; 3] = [0, 1, 3];
 
 #[test]
 fn figure3_sharded_replay_matches_serial_at_all_shard_counts() {
@@ -582,6 +606,36 @@ fn assert_traced_identical(s: &Scenario, what: &str) {
             "{what}: copy tree diverged at {shards} shards"
         );
     }
+    for len in SMALL_BATCHES {
+        let small = &batch[..len];
+        let mut plain = build_fabric(s);
+        let expected = plain.inject_flights_sharded(small, 1);
+        let mut serial = build_fabric(s);
+        serial.start_tree_trace();
+        for (sender, flight) in small {
+            serial.inject_flight(*sender, flight.clone());
+        }
+        let serial_events = serial.take_tree_trace();
+        for shards in [1usize, 2, 4, 8] {
+            let mut traced = build_fabric(s);
+            traced.start_tree_trace();
+            let got = traced.inject_flights_sharded(small, shards);
+            assert_eq!(
+                got, expected,
+                "{what}: tracing changed deliveries at {shards} shards on {len} packets"
+            );
+            assert_eq!(
+                traced.take_tree_trace(),
+                serial_events,
+                "{what}: trace events diverged at {shards} shards on {len} packets"
+            );
+            assert_fabrics_identical(
+                &plain,
+                &traced,
+                &format!("{what}: traced({shards}), {len} packets"),
+            );
+        }
+    }
 }
 
 /// The full batched ≡ scalar ≡ reference triangle: the run-grouped SoA
@@ -690,4 +744,12 @@ fn garbage_bytes_count_parse_drop_on_ingress_leaf() {
         .is_empty());
     assert_eq!(fast.leaf(LeafId(0)).stats.dropped_parse, 1);
     assert_fabrics_identical(&fast, &reference, "garbage");
+    // The batched wrapper parses on the ingress leaf's behalf too.
+    for shards in [1usize, 4] {
+        let mut sharded = Fabric::new(topo, SwitchConfig::default());
+        assert!(sharded
+            .inject_batch_sharded([(HostId(0), vec![0u8; 24])], shards)
+            .is_empty());
+        assert_fabrics_identical(&sharded, &reference, "garbage, sharded");
+    }
 }
