@@ -138,11 +138,10 @@ pub fn replicate(
     replicate_sharded(topo, replicas, log, transport, model, 1)
 }
 
-/// [`replicate`] with the fabric replay routed through the sharded
-/// multi-core engine when `replay_threads > 1` (0 = one shard per core).
-/// Replicas converge to the same digest at any shard count: within one
-/// log entry every delivered frame is identical, so delivery order
-/// cannot reorder commands.
+/// [`replicate`] with the fabric replay spread over `replay_threads`
+/// workers (0 = one per core). Replicas converge to the same digest at
+/// any worker count: within one log entry every delivered frame is
+/// identical, so delivery order cannot reorder commands.
 pub fn replicate_sharded(
     topo: Clos,
     replicas: usize,
@@ -210,11 +209,7 @@ pub fn replicate_sharded(
         };
         leader_egress += packets.iter().map(|p| p.len() as u64).sum::<u64>();
         let batch = packets.into_iter().map(|p| (leader, p));
-        let delivered = if replay_threads > 1 {
-            fabric.inject_batch_sharded(batch, replay_threads)
-        } else {
-            fabric.inject_batch(batch)
-        };
+        let delivered = fabric.inject_batch(batch, replay_threads);
         for (host, bytes) in delivered {
             if let Some((hv, replica)) = machines.get_mut(&host) {
                 for (_, inner) in hv.receive(&bytes, ctl.layout()) {

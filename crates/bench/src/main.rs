@@ -13,7 +13,7 @@
 //!   --out PATH        output file (default BENCH_encode.json)
 //!   --replay-packets N    packets for the data-plane replay bench (default 20,000)
 //!   --replay-payload N    inner-frame bytes per replay packet (default 1,500)
-//!   --replay-threads LIST shard counts for the sharded replay axis
+//!   --replay-threads LIST worker counts for the replay engine axis
 //!                         (default 1,2,4,8; counts above the core count
 //!                         are skipped and recorded, 0 = all cores)
 //!   --replay-out PATH     replay output file (default BENCH_dataplane.json)
@@ -22,8 +22,8 @@
 //!                         count anyway; their rows are recorded with
 //!                         "oversubscribed": true instead of being skipped
 //!   --expect-deliveries N exit nonzero if the replay delivered-copy count differs
-//!   --expect-pkts-per-sec N exit nonzero if warm batched replay throughput
-//!                         falls below N packets/s (generous CI floor)
+//!   --expect-pkts-per-sec N exit nonzero if any worker count's warm engine
+//!                         throughput falls below N packets/s (generous CI floor)
 //!   --churn-events N      join/leave events per churn scenario (default 20,000)
 //!   --churn-out PATH      churn output file (default BENCH_churn.json)
 //!   --churn-only      run only the churn bench
@@ -46,13 +46,11 @@
 //! cache pass reports the memoization hit rate.
 //!
 //! The replay bench drives a fixed-seed packet workload through the
-//! paper-example [`Fabric`] four ways — the per-hop re-serializing
-//! reference path, the zero-copy fast path from wire bytes, the
-//! all-flight path from pre-parsed [`FlightPacket`]s, and the run-grouped
-//! batched engine (SoA buckets over compiled per-switch match plans) —
-//! asserting identical delivery and link counts before reporting
-//! packets/s and copies/s, cold (first 10%, scratch buffers still
-//! growing) vs warm.
+//! paper-example [`Fabric`] two ways — the per-hop re-serializing
+//! [`reference`] oracle, and the packet-parallel replay engine at each
+//! `--replay-threads` worker count — asserting identical delivery and
+//! link counts before reporting packets/s and copies/s, cold (first 10%,
+//! scratch buffers still growing) vs warm.
 //!
 //! The churn bench replays the same seeded join/leave stream through a
 //! delta-on and a delta-off controller on the bench fabric, verifying the
@@ -70,7 +68,7 @@ use std::time::Instant;
 use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
 use elmo_core::{approx_min_k_union_with, EncodeCache, MinKUnionScratch, PortBitmap, SplitMix64};
 use elmo_dataplane::{
-    DeliveryBatch, Fabric, FlightPacket, HypervisorSwitch, SenderFlow, SwitchConfig,
+    reference, DeliveryBatch, Fabric, FlightPacket, HypervisorSwitch, SenderFlow, SwitchConfig,
 };
 use elmo_net::vxlan::Vni;
 use elmo_sim::sweep::SweepResult;
@@ -396,38 +394,31 @@ fn bench_min_k_union() -> (usize, f64, f64) {
     (iters * sets.len(), secs * 1e3, calls / secs)
 }
 
-/// One timed replay mode: cold = the first ~10% of packets on a fresh
-/// fabric (scratch buffers still growing), warm = the remainder.
-struct ReplayMode {
-    name: &'static str,
+/// One timed replay path: cold = the first ~10% of packets on a fresh
+/// fabric, warm = the remainder (fastest of the reps).
+struct ReplayRow {
     cold_wall_ms: f64,
     warm_wall_ms: f64,
     cold_pkts_per_sec: f64,
     warm_pkts_per_sec: f64,
     warm_copies_per_sec: f64,
-}
-
-/// One timed sharded-replay row: the same workload run through
-/// `inject_flights_sharded` at one shard count.
-struct ShardRow {
-    threads: usize,
-    cold_wall_ms: f64,
-    warm_wall_ms: f64,
-    cold_pkts_per_sec: f64,
-    warm_pkts_per_sec: f64,
-    warm_copies_per_sec: f64,
-}
-
-struct ReplayBench {
-    packets: usize,
-    payload_bytes: usize,
-    /// Host-delivered copies per full run (identical across modes, asserted).
+    /// Host-delivered copies over the full stream (cold + one warm pass).
     deliveries: u64,
-    /// Wire copies (link hops) per full run (identical across modes, asserted).
+    /// Wire copies (link hops) over the same full stream.
     copies_on_links: u64,
-    modes: Vec<ReplayMode>,
-    /// The threads axis: one row per (non-oversubscribed) shard count.
-    shard_rows: Vec<ShardRow>,
+}
+
+impl ReplayRow {
+    fn json(&self) -> String {
+        format!(
+            "\"cold_wall_ms\": {}, \"warm_wall_ms\": {}, \"cold_pkts_per_sec\": {}, \"warm_pkts_per_sec\": {}, \"warm_copies_per_sec\": {}",
+            json_f(self.cold_wall_ms),
+            json_f(self.warm_wall_ms),
+            json_f(self.cold_pkts_per_sec),
+            json_f(self.warm_pkts_per_sec),
+            json_f(self.warm_copies_per_sec),
+        )
+    }
 }
 
 /// Build the fixed replay workload: the paper-example fabric with three
@@ -486,35 +477,75 @@ fn replay_workload(n: usize, payload: usize) -> (Fabric, Vec<(HostId, Vec<u8>)>)
     (fabric, pkts)
 }
 
-/// The data-plane replay benchmark: reference path vs zero-copy fast path
-/// vs all-flight path vs the run-grouped batched engine (one shard, SoA
-/// buckets over compiled match plans) on the identical packet stream.
-/// Delivery and link counts are asserted equal across modes — a
-/// throughput number from a path that forwards differently would be
-/// meaningless.
-///
-/// Timing discipline for shared/noisy hosts: after one cold pass per mode
-/// (fresh fabric, scratch buffers still growing), the warm segment is
-/// re-run `WARM_REPS` times and each mode reports its fastest pass, the
-/// standard noise-robust estimate of the true cost. The three serial modes
-/// are *interleaved* (they share an allocation profile, so a CPU-stealing
-/// neighbor hurts every mode's rep, not one mode's whole block); the
-/// batched engine reps run consecutively, because its allocation-free warm
-/// path would otherwise inherit the serial modes' heap churn. Copy counts
-/// are asserted identical across passes (entropy is baked into the
-/// packets, so a re-pass forwards identically).
-fn bench_replay(args: &Args) -> ReplayBench {
-    const MODE_NAMES: [&str; 4] = ["reference", "fast", "flight", "batched"];
-    const WARM_REPS: usize = 5;
-    // The engine passes are ~10× cheaper per rep than the serial trio, so
-    // their min gets more samples for the same wall budget — rep counts
-    // scaled to a time budget, not a fixed count, as is standard for
-    // min-of-reps estimation on shared hosts.
+/// Time one replay path on a fresh copy of `template`: one cold pass over
+/// packets `..cold_n`, then `reps` warm passes over `cold_n..n`, keeping
+/// the fastest (min-of-reps is the noise-robust estimate on a shared
+/// host). `pass` replays a packet range and returns its delivered-copy
+/// count; each warm rep must deliver exactly what the first did.
+fn time_replay(
+    template: &Fabric,
+    n: usize,
+    cold_n: usize,
+    reps: usize,
+    what: &str,
+    mut pass: impl FnMut(&mut Fabric, std::ops::Range<usize>) -> u64,
+) -> ReplayRow {
+    let mut fabric = template.clone();
+    let start = Instant::now();
+    let cold_delivered = pass(&mut fabric, 0..cold_n);
+    let cold_secs = start.elapsed().as_secs_f64();
+    let mut warm_secs = f64::INFINITY;
+    let mut warm_delivered = 0;
+    let mut copies_on_links = 0;
+    for rep in 0..reps {
+        let start = Instant::now();
+        let delivered = pass(&mut fabric, cold_n..n);
+        warm_secs = warm_secs.min(start.elapsed().as_secs_f64());
+        if rep == 0 {
+            warm_delivered = delivered;
+            copies_on_links = fabric.stats.packets_on_links;
+        } else {
+            assert_eq!(delivered, warm_delivered, "{what}: replay not repeatable");
+        }
+    }
+    let row = ReplayRow {
+        cold_wall_ms: cold_secs * 1e3,
+        warm_wall_ms: warm_secs * 1e3,
+        cold_pkts_per_sec: cold_n as f64 / cold_secs,
+        warm_pkts_per_sec: (n - cold_n) as f64 / warm_secs,
+        warm_copies_per_sec: warm_delivered as f64 / warm_secs,
+        deliveries: cold_delivered + warm_delivered,
+        copies_on_links,
+    };
+    elmo_obs::info!(
+        "bench.replay",
+        mode = what,
+        packets = n,
+        cold_pkts_per_sec = row.cold_pkts_per_sec,
+        warm_pkts_per_sec = row.warm_pkts_per_sec,
+        warm_copies_per_sec = row.warm_copies_per_sec
+    );
+    row
+}
+
+/// The data-plane replay benchmark: the [`reference`] oracle (per-hop
+/// parse and re-encode) against the packet-parallel engine at each
+/// `--replay-threads` worker count, on the identical packet stream. Every
+/// engine row's delivered and on-link copy counts are asserted equal to
+/// the oracle's — a throughput number from a path that forwards
+/// differently would be meaningless. Timed regions include full
+/// materialization of every delivery, the same work the oracle is
+/// charged for. Returns the oracle's row and one `(workers, row)` per
+/// (non-oversubscribed) worker count.
+fn bench_replay(args: &Args) -> (ReplayRow, Vec<(usize, ReplayRow)>) {
+    const REFERENCE_REPS: usize = 5;
+    // Engine passes are ~10× cheaper than the oracle's, so their min gets
+    // more samples for the same wall budget.
     const ENGINE_REPS: usize = 15;
     let n = args.replay_packets;
     let (template, pkts) = replay_workload(n, args.replay_payload);
-    // Pre-parse once for the flight mode: this is what a sender using
-    // `send_flight` hands the fabric, so the parse is not on its clock.
+    // Pre-parse once: this is what a sender using `send_flight` hands the
+    // fabric, so the parse is not on the engine's clock.
     let flights: Vec<(HostId, FlightPacket)> = pkts
         .iter()
         .map(|(h, p)| {
@@ -524,234 +555,48 @@ fn bench_replay(args: &Args) -> ReplayBench {
             )
         })
         .collect();
-    let inject_one = |mode: usize, f: &mut Fabric, i: usize| -> usize {
-        match mode {
-            0 => {
-                let (h, p) = &pkts[i];
-                f.inject_reference(*h, p.clone()).len()
-            }
-            1 => {
-                let (h, p) = &pkts[i];
-                f.inject(*h, p.clone()).len()
-            }
-            _ => {
-                let (h, p) = &flights[i];
-                f.inject_flight(*h, p.clone()).len()
-            }
-        }
-    };
     let cold_n = (n / 10).max(1).min(n);
-    let mut fabrics: Vec<Fabric> = (0..4).map(|_| template.clone()).collect();
-    let mut cold_secs = [0f64; 4];
-    let mut cold_delivered = [0u64; 4];
-    // Mode 3 (`batched`) is the run-grouped SoA engine at one shard, its
-    // output materialized through the reused `DeliveryBatch` — replay plus
-    // full serialization, same work the serial modes are charged for.
-    let mut batched_out = DeliveryBatch::new();
-    let mut b_wire_bytes = 0u64;
-    for mode in 0..3 {
-        let start = Instant::now();
-        for i in 0..cold_n {
-            cold_delivered[mode] += inject_one(mode, &mut fabrics[mode], i) as u64;
-        }
-        cold_secs[mode] = start.elapsed().as_secs_f64();
-    }
-    {
-        let start = Instant::now();
-        fabrics[3].replay_flights_sharded(&flights[..cold_n], 1, &mut batched_out);
-        let mut delivered = 0u64;
-        batched_out.for_each(|_, b| {
-            delivered += 1;
-            b_wire_bytes += b.len() as u64;
-        });
-        cold_delivered[3] = delivered;
-        cold_secs[3] = start.elapsed().as_secs_f64();
-    }
-    let mut warm_secs = [f64::INFINITY; 4];
-    let mut warm_delivered = [0u64; 4];
-    let mut links_full_run = [0u64; 4];
-    for rep in 0..WARM_REPS {
-        for mode in 0..3 {
-            let mut delivered = 0u64;
-            let start = Instant::now();
-            for i in cold_n..n {
-                delivered += inject_one(mode, &mut fabrics[mode], i) as u64;
-            }
-            warm_secs[mode] = warm_secs[mode].min(start.elapsed().as_secs_f64());
-            if rep == 0 {
-                warm_delivered[mode] = delivered;
-                links_full_run[mode] = fabrics[mode].stats.packets_on_links;
-            } else {
-                assert_eq!(
-                    delivered, warm_delivered[mode],
-                    "{}: replay not repeatable",
-                    MODE_NAMES[mode]
-                );
-            }
-        }
-    }
-    // Mode 3 (`batched`) reps run as their own consecutive block. Its warm
-    // path is allocation-free and cache-resident, so a rep that follows an
-    // allocation-heavy serial pass measures the neighbor's heap churn, not
-    // the engine; the serial trio stays interleaved because the three share
-    // an allocation profile and a stolen-CPU rep then hurts each equally.
-    // Min-of-reps rejects one-off stalls in both blocks.
-    for rep in 0..ENGINE_REPS {
-        let mut delivered = 0u64;
-        let start = Instant::now();
-        fabrics[3].replay_flights_sharded(&flights[cold_n..], 1, &mut batched_out);
-        batched_out.for_each(|_, b| {
-            delivered += 1;
-            b_wire_bytes += b.len() as u64;
-        });
-        warm_secs[3] = warm_secs[3].min(start.elapsed().as_secs_f64());
-        if rep == 0 {
-            warm_delivered[3] = delivered;
-            links_full_run[3] = fabrics[3].stats.packets_on_links;
-        } else {
-            assert_eq!(
-                delivered, warm_delivered[3],
-                "batched: replay not repeatable"
-            );
-        }
-    }
-    assert!(
-        std::hint::black_box(b_wire_bytes) > 0,
-        "batched mode materialized no wire bytes"
-    );
-    let deliveries = cold_delivered[0] + warm_delivered[0];
-    for mode in 1..4 {
-        assert_eq!(
-            cold_delivered[mode] + warm_delivered[mode],
-            deliveries,
-            "{} changed the delivered-copy count",
-            MODE_NAMES[mode]
-        );
-        assert_eq!(
-            links_full_run[mode], links_full_run[0],
-            "{} changed the on-link copy count",
-            MODE_NAMES[mode]
-        );
-    }
-    let warm_n = (n - cold_n) as f64;
-    let modes = (0..4)
-        .map(|mode| {
-            let row = ReplayMode {
-                name: MODE_NAMES[mode],
-                cold_wall_ms: cold_secs[mode] * 1e3,
-                warm_wall_ms: warm_secs[mode] * 1e3,
-                cold_pkts_per_sec: cold_n as f64 / cold_secs[mode],
-                warm_pkts_per_sec: warm_n / warm_secs[mode],
-                warm_copies_per_sec: warm_delivered[mode] as f64 / warm_secs[mode],
-            };
-            elmo_obs::info!(
-                "bench.replay",
-                mode = row.name,
-                packets = n,
-                cold_pkts_per_sec = row.cold_pkts_per_sec,
-                warm_pkts_per_sec = row.warm_pkts_per_sec,
-                warm_copies_per_sec = row.warm_copies_per_sec
-            );
-            row
-        })
-        .collect();
-    // The threads axis: the same flight stream through the sharded engine
-    // at each shard count, with the same cold/interleaved-warm discipline.
-    // Delivered and on-link copy counts are asserted against the serial
-    // modes — a scaling number from an engine that forwards differently
-    // would be meaningless.
-    let sc = &args.replay_threads;
-    let mut shard_fabrics: Vec<Fabric> = sc.iter().map(|_| template.clone()).collect();
-    let mut batches: Vec<DeliveryBatch> = sc.iter().map(|_| DeliveryBatch::new()).collect();
-    let mut s_cold_secs = vec![0f64; sc.len()];
-    let mut s_cold_delivered = vec![0u64; sc.len()];
-    // Timed region = replay + full materialization: the serial modes hand
-    // back owned wire bytes for every delivery, so the sharded rows must
-    // pay the same serialization cost for the comparison to be honest.
-    let mut s_wire_bytes = 0u64;
-    for (si, &t) in sc.iter().enumerate() {
-        let start = Instant::now();
-        shard_fabrics[si].replay_flights_sharded(&flights[..cold_n], t, &mut batches[si]);
-        let mut delivered = 0u64;
-        batches[si].for_each(|_, b| {
-            delivered += 1;
-            s_wire_bytes += b.len() as u64;
-        });
-        s_cold_delivered[si] = delivered;
-        s_cold_secs[si] = start.elapsed().as_secs_f64();
-    }
-    let mut s_warm_secs = vec![f64::INFINITY; sc.len()];
-    let mut s_warm_delivered = vec![0u64; sc.len()];
-    let mut s_links = vec![0u64; sc.len()];
-    for rep in 0..ENGINE_REPS {
-        for (si, &t) in sc.iter().enumerate() {
+    let reference = time_replay(&template, n, cold_n, REFERENCE_REPS, "reference", |f, r| {
+        pkts[r]
+            .iter()
+            .map(|(h, p)| reference::inject(f, *h, p.clone()).deliveries.len() as u64)
+            .sum()
+    });
+    let mut wire_bytes = 0u64;
+    let engine = args
+        .replay_threads
+        .iter()
+        .map(|&t| {
+            let mut out = DeliveryBatch::new();
             // The batch is reused across reps: its arenas hand capacity
             // back to the workers, so the warm path is allocation-free —
             // the replay service's steady state.
-            let start = Instant::now();
-            shard_fabrics[si].replay_flights_sharded(&flights[cold_n..], t, &mut batches[si]);
-            let mut delivered = 0u64;
-            batches[si].for_each(|_, b| {
-                delivered += 1;
-                s_wire_bytes += b.len() as u64;
+            let what = format!("engine({t})");
+            let row = time_replay(&template, n, cold_n, ENGINE_REPS, &what, |f, r| {
+                f.replay_flights_sharded(&flights[r], t, &mut out);
+                let mut delivered = 0u64;
+                out.for_each(|_, b| {
+                    delivered += 1;
+                    wire_bytes += b.len() as u64;
+                });
+                delivered
             });
-            s_warm_secs[si] = s_warm_secs[si].min(start.elapsed().as_secs_f64());
-            if rep == 0 {
-                s_warm_delivered[si] = delivered;
-                s_links[si] = shard_fabrics[si].stats.packets_on_links;
-            } else {
-                assert_eq!(
-                    delivered, s_warm_delivered[si],
-                    "sharded({t}): replay not repeatable"
-                );
-            }
-        }
-    }
-    for (si, &t) in sc.iter().enumerate() {
-        assert_eq!(
-            s_cold_delivered[si] + s_warm_delivered[si],
-            deliveries,
-            "sharded({t}) changed the delivered-copy count"
-        );
-        assert_eq!(
-            s_links[si], links_full_run[0],
-            "sharded({t}) changed the on-link copy count"
-        );
-    }
-    assert!(
-        std::hint::black_box(s_wire_bytes) > 0,
-        "sharded rows materialized no wire bytes"
-    );
-    let shard_rows = sc
-        .iter()
-        .enumerate()
-        .map(|(si, &t)| {
-            let row = ShardRow {
-                threads: t,
-                cold_wall_ms: s_cold_secs[si] * 1e3,
-                warm_wall_ms: s_warm_secs[si] * 1e3,
-                cold_pkts_per_sec: cold_n as f64 / s_cold_secs[si],
-                warm_pkts_per_sec: warm_n / s_warm_secs[si],
-                warm_copies_per_sec: s_warm_delivered[si] as f64 / s_warm_secs[si],
-            };
-            elmo_obs::info!(
-                "bench.replay.sharded",
-                threads = t,
-                packets = n,
-                warm_pkts_per_sec = row.warm_pkts_per_sec,
-                warm_copies_per_sec = row.warm_copies_per_sec
+            assert_eq!(
+                row.deliveries, reference.deliveries,
+                "engine({t}) changed the delivered-copy count"
             );
-            row
+            assert_eq!(
+                row.copies_on_links, reference.copies_on_links,
+                "engine({t}) changed the on-link copy count"
+            );
+            (t, row)
         })
         .collect();
-    ReplayBench {
-        packets: n,
-        payload_bytes: args.replay_payload,
-        deliveries,
-        copies_on_links: links_full_run[0],
-        modes,
-        shard_rows,
-    }
+    assert!(
+        std::hint::black_box(wire_bytes) > 0,
+        "engine rows materialized no wire bytes"
+    );
+    (reference, engine)
 }
 
 /// Time the static rule-state verifier end to end on a 1,000-group
@@ -899,46 +744,24 @@ fn run_encode_bench(args: &Args, cpus: usize, skipped: &[usize]) {
 
 /// Run the data-plane replay bench, write `args.replay_out`, and enforce
 /// `--expect-deliveries` (the CI smoke gate: any change to how many copies
-/// the fixed workload delivers fails the run).
+/// the fixed workload delivers fails the run) and `--expect-pkts-per-sec`
+/// (every engine row's warm throughput must clear the floor).
 fn run_replay_bench(args: &Args, cpus: usize, skipped_shards: &[usize]) {
-    let replay = bench_replay(args);
-    let warm_ref = replay.modes[0].warm_pkts_per_sec;
-    let warm_flight = replay.modes[2].warm_pkts_per_sec;
-    let warm_batched = replay.modes[3].warm_pkts_per_sec;
-    let mode_rows: Vec<String> = replay
-        .modes
-        .iter()
-        .map(|m| {
-            format!(
-                "    {{\"mode\": \"{}\", \"cold_wall_ms\": {}, \"warm_wall_ms\": {}, \"cold_pkts_per_sec\": {}, \"warm_pkts_per_sec\": {}, \"warm_copies_per_sec\": {}}}",
-                m.name,
-                json_f(m.cold_wall_ms),
-                json_f(m.warm_wall_ms),
-                json_f(m.cold_pkts_per_sec),
-                json_f(m.warm_pkts_per_sec),
-                json_f(m.warm_copies_per_sec),
-            )
-        })
-        .collect();
-    // The threads axis. By default only non-oversubscribed shard counts
-    // were run (main filtered the rest into `skipped_shards`), so
-    // `speedup_vs_flight` is scaling evidence, not scheduler noise; with
+    let (reference, engine) = bench_replay(args);
+    let warm_ref = reference.warm_pkts_per_sec;
+    // By default only non-oversubscribed worker counts were run (main
+    // filtered the rest into `skipped_shards`), so the speedups are
+    // scaling evidence, not scheduler noise; with
     // `--replay-allow-oversubscribed`, rows above the core count do run
     // and are flagged per row.
-    let shard_json_rows: Vec<String> = replay
-        .shard_rows
+    let engine_rows: Vec<String> = engine
         .iter()
-        .map(|r| {
+        .map(|(t, r)| {
             format!(
-                "      {{\"threads\": {}, \"oversubscribed\": {}, \"cold_wall_ms\": {}, \"warm_wall_ms\": {}, \"cold_pkts_per_sec\": {}, \"warm_pkts_per_sec\": {}, \"warm_copies_per_sec\": {}, \"speedup_vs_flight\": {}}}",
-                r.threads,
-                r.threads != 0 && r.threads > cpus,
-                json_f(r.cold_wall_ms),
-                json_f(r.warm_wall_ms),
-                json_f(r.cold_pkts_per_sec),
-                json_f(r.warm_pkts_per_sec),
-                json_f(r.warm_copies_per_sec),
-                json_f(r.warm_pkts_per_sec / warm_flight),
+                "      {{\"threads\": {t}, \"oversubscribed\": {}, {}, \"speedup_vs_reference\": {}}}",
+                *t != 0 && *t > cpus,
+                r.json(),
+                json_f(r.warm_pkts_per_sec / warm_ref),
             )
         })
         .collect();
@@ -948,29 +771,25 @@ fn run_replay_bench(args: &Args, cpus: usize, skipped_shards: &[usize]) {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"elmo dataplane replay\",\n  \"fabric_hosts\": {},\n  \"packets\": {},\n  \"payload_bytes\": {},\n  \"cpus_available\": {},\n  \"deliveries\": {},\n  \"copies_on_links\": {},\n  \"modes\": [\n{}\n  ],\n  \"speedup_fast_vs_reference\": {},\n  \"speedup_flight_vs_reference\": {},\n  \"speedup_batched_vs_reference\": {},\n  \"speedup_batched_vs_flight\": {},\n  \"replay_threads\": {{\n    \"skipped_shard_counts\": [{}],\n    \"rows\": [\n{}\n    ]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"elmo dataplane replay\",\n  \"fabric_hosts\": {},\n  \"packets\": {},\n  \"payload_bytes\": {},\n  \"cpus_available\": {},\n  \"deliveries\": {},\n  \"copies_on_links\": {},\n  \"reference\": {{{}}},\n  \"replay_threads\": {{\n    \"skipped_shard_counts\": [{}],\n    \"rows\": [\n{}\n    ]\n  }}\n}}\n",
         Clos::paper_example().num_hosts(),
-        replay.packets,
-        replay.payload_bytes,
+        args.replay_packets,
+        args.replay_payload,
         cpus,
-        replay.deliveries,
-        replay.copies_on_links,
-        mode_rows.join(",\n"),
-        json_f(replay.modes[1].warm_pkts_per_sec / warm_ref),
-        json_f(warm_flight / warm_ref),
-        json_f(warm_batched / warm_ref),
-        json_f(warm_batched / warm_flight),
+        reference.deliveries,
+        reference.copies_on_links,
+        reference.json(),
         skipped_json,
-        shard_json_rows.join(",\n"),
+        engine_rows.join(",\n"),
     );
     std::fs::write(&args.replay_out, &json).expect("write replay bench output");
     elmo_obs::info!("bench.wrote", path = args.replay_out.as_str());
     if let Some(expected) = args.expect_deliveries {
-        if replay.deliveries != expected {
+        if reference.deliveries != expected {
             elmo_obs::error!(
                 "bench.deliveries_changed",
                 expected = expected,
-                actual = replay.deliveries,
+                actual = reference.deliveries,
                 msg = "--expect-deliveries: the fixed replay workload delivered \
                        a different number of copies than the pinned count"
             );
@@ -978,18 +797,21 @@ fn run_replay_bench(args: &Args, cpus: usize, skipped_shards: &[usize]) {
         }
     }
     if let Some(floor) = args.expect_pkts_per_sec {
-        // NaN must also fail the floor, hence not `warm_batched < floor`.
-        if !matches!(
-            warm_batched.partial_cmp(&(floor as f64)),
-            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-        ) {
-            elmo_obs::error!(
-                "bench.replay_throughput",
-                floor_pkts_per_sec = floor,
-                actual_pkts_per_sec = warm_batched,
-                msg = "--expect-pkts-per-sec: warm batched replay fell below the pinned floor"
-            );
-            std::process::exit(1);
+        for (t, row) in &engine {
+            // NaN must also fail the floor, hence not `warm < floor`.
+            if !matches!(
+                row.warm_pkts_per_sec.partial_cmp(&(floor as f64)),
+                Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
+            ) {
+                elmo_obs::error!(
+                    "bench.replay_throughput",
+                    threads = *t,
+                    floor_pkts_per_sec = floor,
+                    actual_pkts_per_sec = row.warm_pkts_per_sec,
+                    msg = "--expect-pkts-per-sec: warm engine replay fell below the pinned floor"
+                );
+                std::process::exit(1);
+            }
         }
     }
 }

@@ -2,31 +2,24 @@
 //! Clos topology, moving real packet bytes and accounting per-tier link
 //! traffic.
 //!
-//! [`Fabric::inject`] pushes one packet from a host NIC into its leaf and
-//! runs it to completion, returning the copies delivered to host NICs. Byte
-//! counters per link tier feed the traffic-overhead metric (paper Figures
-//! 4/5, right panels).
-//!
-//! The replay loop is zero-copy: injected wire bytes are parsed **once**
-//! into a [`FlightPacket`] and every subsequent hop moves struct-of-arrays
-//! entries — because every copy of an injected packet shares the same
-//! header and payload, a queued copy is fully described by `(switch,
-//! ingress port, pop depth)` and the inner loop iterates three flat
-//! arrays with zero `Arc` traffic per hop. Bytes are re-materialized
-//! solely at host delivery (and into the capture buffer when capturing).
-//! The work-queue ([`FlightQueue`]) and the per-hop output buffer
-//! (`hop_scratch`) are reused across injections so the steady state
-//! allocates nothing but the delivered copies themselves.
-//! [`Fabric::inject_reference`] keeps the pre-change encode-per-hop path
-//! alive for byte-identity golden tests and A/B benchmarking; the batched,
-//! packet-parallel variant of this loop lives in [`crate::shard`].
+//! All forwarding runs through one engine, the packet-parallel replay of
+//! [`crate::shard`]. [`Fabric::inject`], [`Fabric::inject_batch`],
+//! [`Fabric::inject_flight`] and [`Fabric::inject_traced`] are thin
+//! wrappers around it: they parse wire bytes once on the ingress leaf's
+//! behalf (a packet entering a failed leaf, or one that does not parse, is
+//! counted on the wire and lost right there), replay the parsed batch, and
+//! return deliveries in the engine's canonical `(packet, host, state)`
+//! order. Byte counters per link tier feed the traffic-overhead metric
+//! (paper Figures 4/5, right panels). Capture sessions and hop records are
+//! views of the engine's copy-tree events; the oracle every engine output
+//! is tested against is [`crate::reference`].
 
-use elmo_core::{pop, HeaderLayout};
+use elmo_core::HeaderLayout;
 use elmo_topology::{Clos, CoreId, HostId, LeafId, PodId, SpineId, SwitchRef};
 
-use crate::netswitch::{NetworkSwitch, SwitchConfig, HOST_STRIPPED};
+use crate::netswitch::{NetworkSwitch, SwitchConfig};
 use crate::packet::FlightPacket;
-use crate::shard::HopTable;
+use crate::shard::{DeliveryBatch, HopTable, Ingress};
 
 /// Aggregate per-tier traffic counters (bytes and packets on the wire).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
@@ -43,7 +36,7 @@ pub struct FabricStats {
 impl FabricStats {
     /// Fold another worker's counters into this one. Addition is the
     /// only merge: every field is a sum over link events, so per-worker
-    /// totals combined in any order equal the serial totals.
+    /// totals combined in any order equal a one-worker run's.
     pub fn absorb(&mut self, o: &FabricStats) {
         self.host_to_leaf_bytes += o.host_to_leaf_bytes;
         self.leaf_to_host_bytes += o.leaf_to_host_bytes;
@@ -105,22 +98,11 @@ pub(crate) struct FabricMetrics {
     pub(crate) spine_to_core_bytes: elmo_obs::Counter,
     pub(crate) core_to_spine_bytes: elmo_obs::Counter,
     pub(crate) packets_on_links: elmo_obs::Counter,
-    /// Injections whose flight work-queue and hop buffer ran entirely in
-    /// previously allocated capacity (the zero-allocation steady state).
-    pub(crate) replay_buffer_reuse: elmo_obs::Counter,
-    /// Injections that had to grow a scratch buffer (first packets, or a
-    /// fan-out larger than anything seen before).
-    pub(crate) replay_fresh_alloc: elmo_obs::Counter,
     /// Packet copies serialized back to wire bytes (host deliveries and
     /// captured copies) — every other copy moved as structs only.
     pub(crate) replay_materialized: elmo_obs::Counter,
-    /// Batches run by the batched replay engine (`*_sharded` calls that
-    /// did not take the serial fallback).
+    /// Batches run by the replay engine (every injection is one).
     pub(crate) shard_batches: elmo_obs::Counter,
-    /// Batched replay calls forced onto the serial path because a capture
-    /// or hop-trace session pins traversal order (the copy-tree trace
-    /// does not — it runs on the workers).
-    pub(crate) trace_serial_fallback: elmo_obs::Counter,
     /// Copy-tree trace events handed out by `take_tree_trace`.
     pub(crate) trace_events: elmo_obs::Counter,
 }
@@ -135,11 +117,8 @@ pub(crate) fn metrics() -> &'static FabricMetrics {
         spine_to_core_bytes: elmo_obs::counter("fabric.spine_to_core_bytes"),
         core_to_spine_bytes: elmo_obs::counter("fabric.core_to_spine_bytes"),
         packets_on_links: elmo_obs::counter("fabric.packets_on_links"),
-        replay_buffer_reuse: elmo_obs::counter("fabric.replay.buffer_reuse"),
-        replay_fresh_alloc: elmo_obs::counter("fabric.replay.fresh_alloc"),
         replay_materialized: elmo_obs::counter("fabric.replay.materialized"),
         shard_batches: elmo_obs::counter("fabric.replay.shard.batches"),
-        trace_serial_fallback: elmo_obs::counter("fabric.replay.trace_serial_fallback"),
         trace_events: elmo_obs::counter("trace.events_recorded"),
     })
 }
@@ -192,13 +171,9 @@ pub struct Fabric {
     pub(crate) cores: Vec<NetworkSwitch>,
     /// Switches currently failed: packets reaching them are dropped.
     pub(crate) down: std::collections::BTreeSet<SwitchRef>,
-    /// When tracing, the per-hop records of the in-flight injection.
-    pub(crate) trace: Option<Vec<HopRecord>>,
-    /// When copy-tree tracing, the edge events of every traced injection.
-    /// Unlike `trace`/`capture`, an armed tree trace does **not** force
-    /// batched replay onto the serial path: edge events are recorded
-    /// per worker and stitched on merge, and their canonical sort is
-    /// worker-count-invariant.
+    /// When copy-tree tracing, the edge events of every traced replay.
+    /// Events are recorded per worker and stitched on merge; their
+    /// canonical sort is worker-count-invariant.
     pub(crate) tree: Option<TreeTrace>,
     /// Flight-recorder ring capacity per replay worker (0 = off).
     pub(crate) recorder_cap: usize,
@@ -207,16 +182,9 @@ pub struct Fabric {
     pub(crate) flight_recorders: Vec<elmo_obs::FlightRecorder>,
     /// When capturing, `(capture limit, captured packets)`: every copy
     /// put on a wire (injected or forwarded) is recorded until the limit
-    /// is reached. Powers `elmo-eval --trace-pcap`. `None` (the default)
-    /// keeps the replay loop free of any capture work beyond one
-    /// predictable `is_some` test per copy.
+    /// is reached. Powers `elmo-eval --trace-pcap`. The copies are
+    /// rebuilt from the replay's copy-tree events after the workers join.
     pub(crate) capture: Option<(usize, Vec<Vec<u8>>)>,
-    /// Reusable work-queue for the flight replay loop: copies waiting to
-    /// enter their next switch. Drained to empty by every injection, so
-    /// only its capacity survives between packets.
-    flight_queue: FlightQueue,
-    /// Reusable per-hop output buffer handed to `process_hops`.
-    hop_scratch: Vec<(u16, u8)>,
     /// Every switch's output ports resolved to their next stop, for the
     /// batched engine.
     pub(crate) hops: HopTable,
@@ -224,51 +192,15 @@ pub struct Fabric {
     pub stats: FabricStats,
 }
 
-/// The struct-of-arrays flight work-queue: entry `i` is the copy
-/// `(sw[i], port[i], popped[i])`. All copies of one injection share the
-/// injected packet's header and payload `Arc`s, so the pop depth is the
-/// only per-copy state and pushing a copy writes three flat words — no
-/// pointer chasing, no reference-count traffic.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct FlightQueue {
-    sw: Vec<SwitchRef>,
-    port: Vec<u16>,
-    popped: Vec<u8>,
-}
-
-impl FlightQueue {
-    #[inline]
-    pub(crate) fn push(&mut self, sw: SwitchRef, port: u16, popped: u8) {
-        self.sw.push(sw);
-        self.port.push(port);
-        self.popped.push(popped);
-    }
-
-    /// LIFO pop, matching the traversal order of the reference byte loop.
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(SwitchRef, u16, u8)> {
-        let sw = self.sw.pop()?;
-        let port = self.port.pop().expect("arrays pushed in lockstep");
-        let popped = self.popped.pop().expect("arrays pushed in lockstep");
-        Some((sw, port, popped))
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.sw
-            .capacity()
-            .min(self.port.capacity())
-            .min(self.popped.capacity())
-    }
-}
-
 /// An armed copy-tree trace session: the accumulated edge events plus
-/// the packet counter that numbers serial injections. Packet indices —
-/// serial injection order, or batch index in the batched engine — and
-/// dense switch ids are the *only* inputs to trace identity (never wall
-/// clocks), which is what keeps traced runs bit-reproducible.
+/// the running packet offset. Packet indices — position in the session's
+/// replay stream — and dense switch ids are the *only* inputs to trace
+/// identity (never wall clocks), which is what keeps traced runs
+/// bit-reproducible.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TreeTrace {
     pub(crate) events: Vec<elmo_obs::TraceEvent>,
+    /// Session index of the next replay's first packet.
     pub(crate) next_pkt: u32,
 }
 
@@ -307,13 +239,10 @@ impl Fabric {
                 .map(|c| NetworkSwitch::new_core(topo, c, config))
                 .collect(),
             down: std::collections::BTreeSet::new(),
-            trace: None,
             tree: None,
             recorder_cap: 0,
             flight_recorders: Vec::new(),
             capture: None,
-            flight_queue: FlightQueue::default(),
-            hop_scratch: Vec::new(),
             hops: HopTable::new(&topo),
             stats: FabricStats::default(),
         }
@@ -322,7 +251,8 @@ impl Fabric {
     /// Start capturing on-the-wire packet copies, keeping at most `limit`.
     /// A fresh capture buffer is installed each time, so capture sessions
     /// can be repeated: `start_capture` / inject / [`take_capture`]
-    /// (Self::take_capture), then again.
+    /// (Self::take_capture), then again. Capture order is the reference
+    /// loop's traversal order ([`crate::reference`]) for any worker count.
     pub fn start_capture(&mut self, limit: usize) {
         self.capture = Some((limit, Vec::new()));
     }
@@ -337,11 +267,12 @@ impl Fabric {
             .unwrap_or_default()
     }
 
-    /// Arm a copy-tree trace session: every subsequent injection (serial
-    /// or batched) records one [`elmo_obs::TraceEvent`] per replication
-    /// edge until [`take_tree_trace`](Self::take_tree_trace). One session
-    /// should cover either sequential serial injections or one batched
-    /// batch — packet indices restart at the batch boundary.
+    /// Arm a copy-tree trace session: every subsequent replay records one
+    /// [`elmo_obs::TraceEvent`] per replication edge until
+    /// [`take_tree_trace`](Self::take_tree_trace). Packets are numbered
+    /// with one running offset across the session: the first replay's
+    /// packets are `0..n`, the next replay's start at `n`, so single
+    /// injections and batches can be mixed freely.
     pub fn start_tree_trace(&mut self) {
         self.tree = Some(TreeTrace::default());
     }
@@ -383,66 +314,6 @@ impl Fabric {
             .enumerate()
             .map(|(shard, r)| r.dump(shard, reason))
             .sum()
-    }
-
-    /// Record the root edge of a traced injection and allocate its
-    /// packet index. Only called with the trace armed.
-    #[cold]
-    fn tree_root(&mut self, sw0: SwitchRef, state: u8) -> u32 {
-        let child = dense_switch_id(&self.topo, sw0);
-        let t = self.tree.as_mut().expect("tree trace armed");
-        let pkt = t.next_pkt;
-        t.next_pkt += 1;
-        t.events.push(elmo_obs::TraceEvent {
-            pkt,
-            parent: elmo_obs::TRACE_ROOT,
-            child,
-            state,
-        });
-        pkt
-    }
-
-    /// Record one replication edge of a traced injection.
-    #[cold]
-    fn tree_edge(&mut self, pkt: u32, parent: u32, child: u32, state: u8) {
-        if let Some(t) = &mut self.tree {
-            t.events.push(elmo_obs::TraceEvent {
-                pkt,
-                parent,
-                child,
-                state,
-            });
-        }
-    }
-
-    /// Record one wire copy when capturing. The disabled case is a single
-    /// inlined `is_some` test — all real work lives in the `#[cold]` body,
-    /// so the replay hot path pays nothing when capture is off.
-    #[inline(always)]
-    fn capture_copy(&mut self, pkt: &[u8]) {
-        if self.capture.is_some() {
-            self.capture_copy_slow(pkt);
-        }
-    }
-
-    #[cold]
-    fn capture_copy_slow(&mut self, pkt: &[u8]) {
-        if let Some((limit, pkts)) = &mut self.capture {
-            if pkts.len() < *limit {
-                pkts.push(pkt.to_vec());
-            }
-        }
-    }
-
-    /// Capture a flight copy, materializing it only when a slot is free.
-    #[cold]
-    fn capture_flight(&mut self, pkt: &FlightPacket) {
-        if let Some((limit, pkts)) = &mut self.capture {
-            if pkts.len() < *limit {
-                pkts.push(pkt.to_bytes(&self.layout));
-                metrics().replay_materialized.inc();
-            }
-        }
     }
 
     /// Take a spine out of service: packets reaching it are dropped, as on
@@ -541,50 +412,28 @@ impl Fabric {
         Ok(())
     }
 
-    /// Inject one packet and record per-hop telemetry — which switch saw the
-    /// packet, on which port, how large it was, and where it replicated it.
-    /// This is the paper's §7 monitoring direction (INT-style per-hop
-    /// records collected alongside the multicast packet) in model form:
-    /// `traceroute` for a multicast tree.
-    pub fn inject_traced(
-        &mut self,
-        from: HostId,
-        bytes: Vec<u8>,
-    ) -> (Vec<(HostId, Vec<u8>)>, Vec<HopRecord>) {
-        self.trace = Some(Vec::new());
-        let deliveries = self.inject(from, bytes);
-        let trace = self.trace.take().unwrap_or_default();
-        (deliveries, trace)
-    }
-
     /// Inject one packet from a host; returns all host deliveries as
-    /// `(host, packet bytes)`.
-    ///
-    /// This is the zero-copy replay fast path: the wire bytes are parsed
-    /// once here, the fabric is traversed entirely in [`FlightPacket`]
-    /// form, and bytes are re-materialized only for the returned
-    /// deliveries. Deliveries, per-switch stats, and link-byte counters
-    /// are bit-identical to [`inject_reference`](Self::inject_reference).
+    /// `(host, packet bytes)`, sorted by host. A one-packet
+    /// [`inject_batch`](Self::inject_batch).
     pub fn inject(&mut self, from: HostId, bytes: Vec<u8>) -> Vec<(HostId, Vec<u8>)> {
-        let mut deliveries = Vec::new();
-        self.inject_into(from, &bytes, &mut deliveries);
-        deliveries
+        self.inject_batch([(from, bytes)], 1)
     }
 
-    /// Inject a batch of packets in one call. All scratch buffers are
-    /// reused across the whole batch and deliveries are returned
-    /// concatenated in injection order — equivalent to calling
-    /// [`inject`](Self::inject) per packet and chaining the results, minus
-    /// the per-call allocation churn.
-    pub fn inject_batch<I>(&mut self, packets: I) -> Vec<(HostId, Vec<u8>)>
+    /// Inject a batch of wire packets through the replay engine on up to
+    /// `workers` workers (0 = one per available core). Deliveries come
+    /// back in the canonical `(packet, host, state)` order, the same for
+    /// every worker count. Each packet is parsed once here, on behalf of
+    /// its ingress leaf: a packet entering through a failed leaf is
+    /// counted on the wire and lost before parsing, and one that fails to
+    /// parse is counted as a parse drop on the leaf.
+    pub fn inject_batch<I>(&mut self, packets: I, workers: usize) -> Vec<(HostId, Vec<u8>)>
     where
         I: IntoIterator<Item = (HostId, Vec<u8>)>,
     {
-        let mut deliveries = Vec::new();
-        for (from, bytes) in packets {
-            self.inject_into(from, &bytes, &mut deliveries);
-        }
-        deliveries
+        let (flights, ingress) = self.parse_ingress(packets);
+        let mut out = DeliveryBatch::new();
+        self.replay(&flights, workers, &mut out, &ingress, false);
+        out.to_vec()
     }
 
     /// Inject an already-parsed packet, skipping the emit + parse round
@@ -592,278 +441,73 @@ impl Fabric {
     /// e.g. `HypervisorSwitch::send_flight`). Counters are identical to
     /// injecting the materialized bytes.
     pub fn inject_flight(&mut self, from: HostId, pkt: FlightPacket) -> Vec<(HostId, Vec<u8>)> {
-        let leaf = self.topo.leaf_of_host(from);
-        let ingress = self.topo.host_port_on_leaf(from);
-        self.count_ingress(pkt.wire_len(&self.layout) as u64);
-        if self.capture.is_some() {
-            self.capture_flight(&pkt);
-        }
-        let mut deliveries = Vec::new();
-        if !self.down.contains(&SwitchRef::Leaf(leaf)) {
-            self.run_flight(SwitchRef::Leaf(leaf), ingress, pkt, &mut deliveries);
-        }
-        deliveries
+        let mut out = DeliveryBatch::new();
+        self.replay_flights_sharded(&[(from, pkt)], 1, &mut out);
+        out.to_vec()
     }
 
-    /// One injection into a shared deliveries buffer (the body of both
-    /// [`inject`](Self::inject) and [`inject_batch`](Self::inject_batch)).
-    fn inject_into(&mut self, from: HostId, bytes: &[u8], deliveries: &mut Vec<(HostId, Vec<u8>)>) {
-        let leaf = self.topo.leaf_of_host(from);
-        let ingress = self.topo.host_port_on_leaf(from);
-        self.count_ingress(bytes.len() as u64);
-        self.capture_copy(bytes);
-        if self.down.contains(&SwitchRef::Leaf(leaf)) {
-            return; // failed ingress leaf: lost before parsing, as before
-        }
-        let pkt = match FlightPacket::parse(bytes, &self.layout) {
-            Ok(p) => p,
-            Err(_) => {
-                // The one parse of the fast path happens here on the
-                // leaf's behalf; the drop lands on the leaf's counters
-                // exactly as when the leaf parsed every packet itself.
-                self.leaves[leaf.0 as usize].note_parse_drop();
-                return;
-            }
-        };
-        self.run_flight(SwitchRef::Leaf(leaf), ingress, pkt, deliveries);
-    }
-
-    /// The iterative flight work-queue. LIFO pop with in-order output
-    /// pushes — the exact traversal order of the pre-change byte loop, so
-    /// delivery order, capture order, and every counter sequence match.
-    ///
-    /// The queue is struct-of-arrays: every queued copy shares the
-    /// injected packet's header and payload, so the loop keeps exactly two
-    /// working packets (`work`, and its header-stripped twin for host
-    /// copies) and rewrites only `work.popped` per entry.
-    fn run_flight(
+    /// [`inject_batch`](Self::inject_batch) plus per-hop telemetry — which
+    /// switch saw each packet, on which port, how large it was, and where
+    /// it replicated it. This is the paper's §7 monitoring direction
+    /// (INT-style per-hop records collected alongside the multicast
+    /// packet) in model form: `traceroute` for a multicast tree. The
+    /// records are read off the replay's copy-tree events, packet by
+    /// packet in the reference loop's traversal order, so they are the
+    /// same for every worker count. Packets lost before parsing leave no
+    /// record.
+    pub fn inject_traced<I>(
         &mut self,
-        sw0: SwitchRef,
-        port0: usize,
-        pkt0: FlightPacket,
-        deliveries: &mut Vec<(HostId, Vec<u8>)>,
-    ) {
-        let m = metrics();
-        // Copy-tree tracing costs the off case one `is_some` test per
-        // output (like capture); all recording lives in `#[cold]` bodies.
-        let tracing = self.tree.is_some();
-        let trace_pkt = if tracing {
-            self.tree_root(sw0, pkt0.popped)
-        } else {
-            0
-        };
-        // Take the scratch buffers out of `self` so the borrow checker
-        // sees them as locals while switches and counters are borrowed.
-        let mut queue = std::mem::take(&mut self.flight_queue);
-        let mut hop_out = std::mem::take(&mut self.hop_scratch);
-        let start_caps = (queue.capacity(), hop_out.capacity());
-        let mut work = pkt0;
-        let host_work = FlightPacket {
-            elmo: None,
-            popped: pop::NONE,
-            ..work.clone()
-        };
-        queue.push(sw0, port0 as u16, work.popped);
-        // A packet visits each layer at most twice (up, down); the queue is
-        // bounded by the output fan-out, so plain iteration terminates.
-        while let Some((sw, port_in, popped_in)) = queue.pop() {
-            if self.down.contains(&sw) {
-                continue; // failed switch: the packet is lost here
-            }
-            work.popped = popped_in;
-            hop_out.clear();
-            match sw {
-                SwitchRef::Leaf(l) => self.leaves[l.0 as usize].process_hops(
-                    port_in as usize,
-                    &work,
-                    &self.layout,
-                    &mut hop_out,
-                ),
-                SwitchRef::Spine(s) => self.spines[s.0 as usize].process_hops(
-                    port_in as usize,
-                    &work,
-                    &self.layout,
-                    &mut hop_out,
-                ),
-                SwitchRef::Core(c) => self.cores[c.0 as usize].process_hops(
-                    port_in as usize,
-                    &work,
-                    &self.layout,
-                    &mut hop_out,
-                ),
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.push(HopRecord {
-                    switch: sw,
-                    ingress_port: port_in as usize,
-                    bytes_in: work.wire_len(&self.layout),
-                    egress_ports: hop_out.iter().map(|(p, _)| *p as usize).collect(),
-                });
-            }
-            let trace_parent = if tracing {
-                dense_switch_id(&self.topo, sw)
-            } else {
-                0
-            };
-            for &(port_out, state) in &hop_out {
-                self.stats.packets_on_links += 1;
-                m.packets_on_links.inc();
-                let out_pkt: &FlightPacket = if state == HOST_STRIPPED {
-                    &host_work
-                } else {
-                    work.popped = state;
-                    &work
-                };
-                let n = out_pkt.wire_len(&self.layout) as u64;
-                if self.capture.is_some() {
-                    let bytes = out_pkt.to_bytes(&self.layout);
-                    self.capture_copy_slow(&bytes);
-                    m.replay_materialized.inc();
-                }
-                match next_hop(&self.topo, sw, port_out as usize) {
-                    Hop::Host(h) => {
-                        self.stats.leaf_to_host_bytes += n;
-                        m.leaf_to_host_bytes.add(n);
-                        let out_pkt: &FlightPacket = if state == HOST_STRIPPED {
-                            &host_work
-                        } else {
-                            &work
-                        };
-                        deliveries.push((h, out_pkt.to_bytes(&self.layout)));
-                        m.replay_materialized.inc();
-                        if tracing {
-                            self.tree_edge(
-                                trace_pkt,
-                                trace_parent,
-                                elmo_obs::HOST_NODE_BIT | h.0,
-                                state,
-                            );
-                        }
-                    }
-                    Hop::Switch(next, next_port, tier) => {
-                        debug_assert_ne!(state, HOST_STRIPPED, "stripped copies go to hosts");
-                        if tracing {
-                            let child = dense_switch_id(&self.topo, next);
-                            self.tree_edge(trace_pkt, trace_parent, child, state);
-                        }
-                        match tier {
-                            LinkTier::LeafSpine => {
-                                self.stats.leaf_to_spine_bytes += n;
-                                m.leaf_to_spine_bytes.add(n);
-                            }
-                            LinkTier::SpineLeaf => {
-                                self.stats.spine_to_leaf_bytes += n;
-                                m.spine_to_leaf_bytes.add(n);
-                            }
-                            LinkTier::SpineCore => {
-                                self.stats.spine_to_core_bytes += n;
-                                m.spine_to_core_bytes.add(n);
-                            }
-                            LinkTier::CoreSpine => {
-                                self.stats.core_to_spine_bytes += n;
-                                m.core_to_spine_bytes.add(n);
-                            }
-                        }
-                        queue.push(next, next_port as u16, state);
-                    }
-                }
-            }
-        }
-        // Give the (now empty) scratch buffers back for the next packet
-        // and record whether this injection ran allocation-free.
-        if queue.capacity() > start_caps.0 || hop_out.capacity() > start_caps.1 {
-            m.replay_fresh_alloc.inc();
-        } else {
-            m.replay_buffer_reuse.inc();
-        }
-        // Drop the working copies before the Arcs' last clones go out in
-        // deliveries; `host_work` kept them alive across the loop.
-        drop(host_work);
-        drop(work);
-        self.flight_queue = queue;
-        self.hop_scratch = hop_out;
+        packets: I,
+        workers: usize,
+    ) -> (Vec<(HostId, Vec<u8>)>, Vec<HopRecord>)
+    where
+        I: IntoIterator<Item = (HostId, Vec<u8>)>,
+    {
+        let (flights, ingress) = self.parse_ingress(packets);
+        let mut out = DeliveryBatch::new();
+        let events = self.replay(&flights, workers, &mut out, &ingress, true);
+        let hops = self.hop_records(&flights, &out, &events);
+        (out.to_vec(), hops)
     }
 
-    /// The pre-zero-copy replay path, kept verbatim: every hop parses the
-    /// wire bytes and re-encodes header **and** payload for each copy
-    /// (via [`NetworkSwitch::process_reference`]). Retained as the golden
-    /// reference for byte-identity tests and as the A/B baseline for the
-    /// replay benchmark. Counters and deliveries are bit-identical to
-    /// [`inject`](Self::inject).
-    pub fn inject_reference(&mut self, from: HostId, bytes: Vec<u8>) -> Vec<(HostId, Vec<u8>)> {
-        let leaf = self.topo.leaf_of_host(from);
-        let ingress = self.topo.host_port_on_leaf(from);
-        self.count_ingress(bytes.len() as u64);
-        self.capture_copy(&bytes);
-        let m = metrics();
-        let mut deliveries = Vec::new();
-        let mut queue: Vec<(SwitchRef, usize, Vec<u8>)> =
-            vec![(SwitchRef::Leaf(leaf), ingress, bytes)];
-        while let Some((sw, port_in, pkt)) = queue.pop() {
-            if self.down.contains(&sw) {
-                continue;
-            }
-            let outputs = match sw {
-                SwitchRef::Leaf(l) => {
-                    self.leaves[l.0 as usize].process_reference(port_in, &pkt, &self.layout)
+    /// Parse wire packets on their ingress leaves' behalf. Packets that
+    /// never reach the engine (failed ingress leaf, parse error) are
+    /// counted on the host link here. While capturing, also returns every
+    /// packet's raw bytes in input order, for the capture's ingress copies.
+    fn parse_ingress<I>(&mut self, packets: I) -> (Vec<(HostId, FlightPacket)>, Vec<Ingress>)
+    where
+        I: IntoIterator<Item = (HostId, Vec<u8>)>,
+    {
+        let capturing = self.capture.is_some();
+        let mut flights = Vec::new();
+        let mut ingress = Vec::new();
+        for (from, bytes) in packets {
+            let leaf = self.topo.leaf_of_host(from);
+            let parsed = if self.down.contains(&SwitchRef::Leaf(leaf)) {
+                None
+            } else {
+                let p = FlightPacket::parse(&bytes, &self.layout).ok();
+                if p.is_none() {
+                    self.leaves[leaf.0 as usize].note_parse_drop();
                 }
-                SwitchRef::Spine(s) => {
-                    self.spines[s.0 as usize].process_reference(port_in, &pkt, &self.layout)
-                }
-                SwitchRef::Core(c) => {
-                    self.cores[c.0 as usize].process_reference(port_in, &pkt, &self.layout)
-                }
+                p
             };
-            if let Some(trace) = &mut self.trace {
-                trace.push(HopRecord {
-                    switch: sw,
-                    ingress_port: port_in,
-                    bytes_in: pkt.len(),
-                    egress_ports: outputs.iter().map(|(p, _)| *p).collect(),
-                });
+            let replayed = parsed.is_some();
+            match parsed {
+                Some(pkt) => flights.push((from, pkt)),
+                None => self.count_ingress(bytes.len() as u64),
             }
-            for (port_out, out_pkt) in outputs {
-                self.stats.packets_on_links += 1;
-                m.packets_on_links.inc();
-                self.capture_copy(&out_pkt);
-                match next_hop(&self.topo, sw, port_out) {
-                    Hop::Host(h) => {
-                        self.stats.leaf_to_host_bytes += out_pkt.len() as u64;
-                        m.leaf_to_host_bytes.add(out_pkt.len() as u64);
-                        deliveries.push((h, out_pkt));
-                    }
-                    Hop::Switch(next, next_port, tier) => {
-                        let n = out_pkt.len() as u64;
-                        match tier {
-                            LinkTier::LeafSpine => {
-                                self.stats.leaf_to_spine_bytes += n;
-                                m.leaf_to_spine_bytes.add(n);
-                            }
-                            LinkTier::SpineLeaf => {
-                                self.stats.spine_to_leaf_bytes += n;
-                                m.spine_to_leaf_bytes.add(n);
-                            }
-                            LinkTier::SpineCore => {
-                                self.stats.spine_to_core_bytes += n;
-                                m.spine_to_core_bytes.add(n);
-                            }
-                            LinkTier::CoreSpine => {
-                                self.stats.core_to_spine_bytes += n;
-                                m.core_to_spine_bytes.add(n);
-                            }
-                        }
-                        queue.push((next, next_port, out_pkt));
-                    }
-                }
+            if capturing {
+                ingress.push(Ingress { replayed, bytes });
             }
         }
-        deliveries
+        (flights, ingress)
     }
 }
 
 /// Resolve a switch's output port to the device on the other end. Free
-/// function over [`Clos`] so [`crate::shard`]'s hop table can be built
-/// from the topology alone.
+/// function over [`Clos`] so [`crate::shard`]'s hop table and the
+/// [`crate::reference`] oracle both work from the topology alone.
 pub(crate) fn next_hop(topo: &Clos, sw: SwitchRef, port: usize) -> Hop {
     match sw {
         SwitchRef::Leaf(l) => {
@@ -932,64 +576,95 @@ pub(crate) enum LinkTier {
 mod tests {
     use super::*;
     use crate::hypervisor::{HypervisorSwitch, SenderFlow, VmSlot};
-    use elmo_core::{encode_group, header_for_sender, EncoderConfig};
+    use elmo_core::{encode_group, header_for_sender, EncoderConfig, GroupEncoding};
     use elmo_net::vxlan::Vni;
     use elmo_topology::{GroupTree, UpstreamCover};
     use std::net::Ipv4Addr;
 
     const OUTER: Ipv4Addr = Ipv4Addr::new(239, 1, 1, 1);
     const GROUP: Ipv4Addr = Ipv4Addr::new(225, 0, 0, 1);
+    /// The paper's Figure 3a group.
+    const MEMBERS: [HostId; 6] = [
+        HostId(0),
+        HostId(1),
+        HostId(42),
+        HostId(48),
+        HostId(49),
+        HostId(57),
+    ];
+
+    /// The tight two-rule budget that forces s-rules or default p-rules.
+    fn tight() -> EncoderConfig {
+        EncoderConfig {
+            r: 0,
+            k_max: 2,
+            h_spine_max: 2,
+            h_leaf_max: 2,
+            budget_bytes: 325,
+            mode: elmo_core::RedundancyMode::Sum,
+        }
+    }
+
+    /// Encode `members` under `cfg` (with or without s-rule capacity) and
+    /// build a fabric with the encoder's s-rules installed.
+    fn encode(members: &[HostId], cfg: EncoderConfig, srules: bool) -> (GroupEncoding, Fabric) {
+        let topo = Clos::paper_example();
+        let tree = GroupTree::new(&topo, members.iter().copied());
+        let enc = encode_group(&topo, &tree, &cfg, &mut |_| srules, &mut |_| srules);
+        let mut fabric = Fabric::new(topo, SwitchConfig::default());
+        for (pod, bm) in &enc.d_spine.s_rules {
+            fabric
+                .install_pod_srule(PodId(*pod), OUTER, bm.clone())
+                .unwrap();
+        }
+        for (leaf, bm) in &enc.d_leaf.s_rules {
+            fabric
+                .leaf_mut(LeafId(*leaf))
+                .install_srule(OUTER, bm.clone())
+                .unwrap();
+        }
+        (enc, fabric)
+    }
+
+    /// One wire packet from `sender` under its header for `enc`.
+    fn send(members: &[HostId], enc: &GroupEncoding, sender: HostId, payload: &[u8]) -> Vec<u8> {
+        let topo = Clos::paper_example();
+        let layout = HeaderLayout::for_clos(&topo);
+        let tree = GroupTree::new(&topo, members.iter().copied());
+        let multipath = UpstreamCover::multipath();
+        let header = header_for_sender(&topo, &layout, &tree, enc, sender, &multipath);
+        let mut hv = HypervisorSwitch::new(sender);
+        let flow = SenderFlow::new(OUTER, Vni(1), &header, &layout, vec![]);
+        hv.install_flow(Vni(1), GROUP, flow);
+        hv.send(Vni(1), GROUP, payload, &layout).remove(0)
+    }
+
+    /// Every member but `sender`, ascending.
+    fn others(sender: HostId) -> Vec<HostId> {
+        MEMBERS.iter().copied().filter(|&h| h != sender).collect()
+    }
+
+    fn hosts(deliveries: Vec<(HostId, Vec<u8>)>) -> Vec<HostId> {
+        let mut got: Vec<HostId> = deliveries.into_iter().map(|(h, _)| h).collect();
+        got.sort_unstable();
+        got
+    }
 
     /// End-to-end: encode the Figure 3a group, send from Ha, and check every
     /// receiver (and only receivers) gets the inner frame.
     #[test]
     fn figure3_end_to_end_delivery() {
-        let topo = Clos::paper_example();
-        let layout = HeaderLayout::for_clos(&topo);
-        let members = [
-            HostId(0),
-            HostId(1),
-            HostId(42),
-            HostId(48),
-            HostId(49),
-            HostId(57),
-        ];
-        let tree = GroupTree::new(&topo, members);
-        let cfg = EncoderConfig::with_budget(&layout, 325, 0);
-        let mut sa = |_p| false;
-        let mut la = |_l| false;
-        let enc = encode_group(&topo, &tree, &cfg, &mut sa, &mut la);
+        let layout = HeaderLayout::for_clos(&Clos::paper_example());
+        let (enc, mut fabric) =
+            encode(&MEMBERS, EncoderConfig::with_budget(&layout, 325, 0), false);
         // At R = 0 with the two-rule spine budget and no s-rule capacity,
         // pod P3 lands on the default p-rule — whose bitmap here equals
         // P3's exact ports, so delivery is still precise.
         assert_eq!(enc.d_spine.default_switches, vec![3]);
-
-        let mut fabric = Fabric::new(topo, SwitchConfig::default());
         let sender = HostId(0);
-        let header = header_for_sender(
-            &topo,
-            &layout,
-            &tree,
-            &enc,
-            sender,
-            &UpstreamCover::multipath(),
-        );
-        let mut hv = HypervisorSwitch::new(sender);
-        hv.install_flow(
-            Vni(1),
-            GROUP,
-            SenderFlow::new(OUTER, Vni(1), &header, &layout, vec![]),
-        );
-        let pkt = hv
-            .send(Vni(1), GROUP, b"multicast payload", &layout)
-            .remove(0);
-
-        let deliveries = fabric.inject(sender, pkt);
-        let mut delivered_hosts: Vec<HostId> = deliveries.iter().map(|(h, _)| *h).collect();
-        delivered_hosts.sort_unstable();
+        let deliveries = fabric.inject(sender, send(&MEMBERS, &enc, sender, b"multicast payload"));
         // Every member except the sender, exactly once.
-        let expected: Vec<HostId> = members.iter().copied().filter(|&h| h != sender).collect();
-        assert_eq!(delivered_hosts, expected);
+        assert_eq!(hosts(deliveries.clone()), others(sender));
 
         // Each delivered packet decaps at a subscribed hypervisor.
         for (host, bytes) in &deliveries {
@@ -1003,47 +678,12 @@ mod tests {
 
     #[test]
     fn every_sender_reaches_all_other_members() {
-        let topo = Clos::paper_example();
-        let layout = HeaderLayout::for_clos(&topo);
-        let members = [
-            HostId(0),
-            HostId(1),
-            HostId(42),
-            HostId(48),
-            HostId(49),
-            HostId(57),
-        ];
-        let tree = GroupTree::new(&topo, members);
+        let layout = HeaderLayout::for_clos(&Clos::paper_example());
         let cfg = EncoderConfig::with_budget(&layout, 325, 0);
-        let mut sa = |_p| false;
-        let mut la = |_l| false;
-        let enc = encode_group(&topo, &tree, &cfg, &mut sa, &mut la);
-
-        for &sender in &members {
-            let mut fabric = Fabric::new(topo, SwitchConfig::default());
-            let header = header_for_sender(
-                &topo,
-                &layout,
-                &tree,
-                &enc,
-                sender,
-                &UpstreamCover::multipath(),
-            );
-            let mut hv = HypervisorSwitch::new(sender);
-            hv.install_flow(
-                Vni(1),
-                GROUP,
-                SenderFlow::new(OUTER, Vni(1), &header, &layout, vec![]),
-            );
-            let pkt = hv.send(Vni(1), GROUP, b"m", &layout).remove(0);
-            let mut got: Vec<HostId> = fabric
-                .inject(sender, pkt)
-                .into_iter()
-                .map(|(h, _)| h)
-                .collect();
-            got.sort_unstable();
-            let expected: Vec<HostId> = members.iter().copied().filter(|&h| h != sender).collect();
-            assert_eq!(got, expected, "sender {sender}");
+        for &sender in &MEMBERS {
+            let (enc, mut fabric) = encode(&MEMBERS, cfg, false);
+            let got = hosts(fabric.inject(sender, send(&MEMBERS, &enc, sender, b"m")));
+            assert_eq!(got, others(sender), "sender {sender}");
         }
     }
 
@@ -1051,124 +691,23 @@ mod tests {
     fn srule_assignment_still_delivers() {
         // R = 0 with s-rule capacity: some switches use group-table entries
         // instead of p-rules; delivery must be identical.
-        let topo = Clos::paper_example();
-        let layout = HeaderLayout::for_clos(&topo);
-        let members = [
-            HostId(0),
-            HostId(1),
-            HostId(42),
-            HostId(48),
-            HostId(49),
-            HostId(57),
-        ];
-        let tree = GroupTree::new(&topo, members);
-        let cfg = EncoderConfig {
-            r: 0,
-            k_max: 2,
-            h_spine_max: 2,
-            h_leaf_max: 2,
-            budget_bytes: 325,
-            mode: elmo_core::RedundancyMode::Sum,
-        };
-        let mut sa = |_p| true;
-        let mut la = |_l| true;
-        let enc = encode_group(&topo, &tree, &cfg, &mut sa, &mut la);
+        let (enc, mut fabric) = encode(&MEMBERS, tight(), true);
         assert!(!enc.d_spine.s_rules.is_empty() || !enc.d_leaf.s_rules.is_empty());
-
-        let mut fabric = Fabric::new(topo, SwitchConfig::default());
-        // Install the s-rules the encoder produced.
-        for (pod, bm) in &enc.d_spine.s_rules {
-            fabric
-                .install_pod_srule(PodId(*pod), OUTER, bm.clone())
-                .unwrap();
-        }
-        for (leaf, bm) in &enc.d_leaf.s_rules {
-            fabric
-                .leaf_mut(LeafId(*leaf))
-                .install_srule(OUTER, bm.clone())
-                .unwrap();
-        }
-
         let sender = HostId(0);
-        let header = header_for_sender(
-            &topo,
-            &layout,
-            &tree,
-            &enc,
-            sender,
-            &UpstreamCover::multipath(),
-        );
-        let mut hv = HypervisorSwitch::new(sender);
-        hv.install_flow(
-            Vni(1),
-            GROUP,
-            SenderFlow::new(OUTER, Vni(1), &header, &layout, vec![]),
-        );
-        let pkt = hv.send(Vni(1), GROUP, b"m", &layout).remove(0);
-        let mut got: Vec<HostId> = fabric
-            .inject(sender, pkt)
-            .into_iter()
-            .map(|(h, _)| h)
-            .collect();
-        got.sort_unstable();
-        let expected: Vec<HostId> = members.iter().copied().filter(|&h| h != sender).collect();
-        assert_eq!(got, expected);
+        let got = hosts(fabric.inject(sender, send(&MEMBERS, &enc, sender, b"m")));
+        assert_eq!(got, others(sender));
     }
 
     #[test]
     fn default_prule_overdelivers_but_reaches_members() {
         // R = 0, no s-rule capacity: overflow switches use the default
         // p-rule, which may spray extra copies — but never misses a member.
-        let topo = Clos::paper_example();
-        let layout = HeaderLayout::for_clos(&topo);
-        let members = [
-            HostId(0),
-            HostId(1),
-            HostId(42),
-            HostId(48),
-            HostId(49),
-            HostId(57),
-        ];
-        let tree = GroupTree::new(&topo, members);
-        let cfg = EncoderConfig {
-            r: 0,
-            k_max: 2,
-            h_spine_max: 2,
-            h_leaf_max: 2,
-            budget_bytes: 325,
-            mode: elmo_core::RedundancyMode::Sum,
-        };
-        let mut sa = |_p| false;
-        let mut la = |_l| false;
-        let enc = encode_group(&topo, &tree, &cfg, &mut sa, &mut la);
+        let (enc, mut fabric) = encode(&MEMBERS, tight(), false);
         assert!(enc.d_leaf.default_rule.is_some() || enc.d_spine.default_rule.is_some());
-
-        let mut fabric = Fabric::new(topo, SwitchConfig::default());
         let sender = HostId(0);
-        let header = header_for_sender(
-            &topo,
-            &layout,
-            &tree,
-            &enc,
-            sender,
-            &UpstreamCover::multipath(),
-        );
-        let mut hv = HypervisorSwitch::new(sender);
-        hv.install_flow(
-            Vni(1),
-            GROUP,
-            SenderFlow::new(OUTER, Vni(1), &header, &layout, vec![]),
-        );
-        let pkt = hv.send(Vni(1), GROUP, b"m", &layout).remove(0);
-        let got: std::collections::BTreeSet<HostId> = fabric
-            .inject(sender, pkt)
-            .into_iter()
-            .map(|(h, _)| h)
-            .collect();
-        for &m in &members {
-            if m != sender {
-                assert!(got.contains(&m), "member {m} missed");
-            }
+        let got = hosts(fabric.inject(sender, send(&MEMBERS, &enc, sender, b"m")));
+        for m in others(sender) {
+            assert!(got.contains(&m), "member {m} missed");
         }
     }
 
@@ -1187,32 +726,51 @@ mod tests {
         assert!(fabric.stats.core_to_spine_bytes > 0);
     }
 
+    /// A packet whose ingress leaf is down never reaches the engine, but
+    /// it was put on the host link: counted there, and captured with its
+    /// raw bytes exactly as the oracle's wire record has it.
     #[test]
-    fn link_bytes_shrink_as_header_pops() {
+    fn failed_ingress_leaf_is_counted_and_captured() {
         let topo = Clos::paper_example();
         let layout = HeaderLayout::for_clos(&topo);
-        let members = [HostId(0), HostId(42)]; // cross-pod pair
-        let tree = GroupTree::new(&topo, members);
-        let cfg = EncoderConfig::with_budget(&layout, 325, 0);
-        let mut sa = |_p| false;
-        let mut la = |_l| false;
-        let enc = encode_group(&topo, &tree, &cfg, &mut sa, &mut la);
-        let mut fabric = Fabric::new(topo, SwitchConfig::default());
-        let header = header_for_sender(
-            &topo,
-            &layout,
-            &tree,
-            &enc,
-            HostId(0),
-            &UpstreamCover::multipath(),
-        );
         let mut hv = HypervisorSwitch::new(HostId(0));
-        hv.install_flow(
-            Vni(1),
-            GROUP,
-            SenderFlow::new(OUTER, Vni(1), &header, &layout, vec![]),
-        );
-        let pkt = hv.send(Vni(1), GROUP, b"payload", &layout).remove(0);
+        let pkts: Vec<Vec<u8>> = [HostId(1), HostId(57)]
+            .iter()
+            .map(|&to| hv.send_unicast_to(&[to], Vni(3), b"uni", &layout).remove(0))
+            .collect();
+        // Host 0 sits under the failed leaf 0; host 8 does not.
+        let batch = vec![
+            (HostId(0), pkts[0].clone()),
+            (HostId(8), pkts[1].clone()),
+            (HostId(0), pkts[1].clone()),
+        ];
+        let mut oracle = Fabric::new(topo, SwitchConfig::default());
+        oracle.down.insert(SwitchRef::Leaf(LeafId(0)));
+        let mut wire = Vec::new();
+        for (from, pkt) in &batch {
+            wire.extend(crate::reference::inject(&mut oracle, *from, pkt.clone()).wire);
+        }
+        for workers in [1, 2, 4] {
+            let mut fabric = Fabric::new(topo, SwitchConfig::default());
+            fabric.down.insert(SwitchRef::Leaf(LeafId(0)));
+            fabric.start_capture(usize::MAX);
+            let delivered = fabric.inject_batch(batch.clone(), workers);
+            assert_eq!(delivered.len(), 1, "only host 8's packet gets through");
+            assert_eq!(fabric.take_capture(), wire, "capture at {workers} workers");
+            assert_eq!(
+                fabric.stats, oracle.stats,
+                "link counters at {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn link_bytes_shrink_as_header_pops() {
+        let layout = HeaderLayout::for_clos(&Clos::paper_example());
+        let members = [HostId(0), HostId(42)]; // cross-pod pair
+        let (enc, mut fabric) =
+            encode(&members, EncoderConfig::with_budget(&layout, 325, 0), false);
+        let pkt = send(&members, &enc, HostId(0), b"payload");
         let injected_len = pkt.len() as u64;
         fabric.inject(HostId(0), pkt);
         // One packet per tier on this linear path; bytes must be

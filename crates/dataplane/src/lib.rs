@@ -20,6 +20,7 @@ pub mod hypervisor;
 pub mod netswitch;
 pub mod packet;
 pub mod pcap;
+pub mod reference;
 pub mod shard;
 
 pub use fabric::{

@@ -27,7 +27,7 @@ use elmo_core::{pop, HeaderLayout, PortBitmap, SigHasher};
 use elmo_net::ipv4;
 use elmo_topology::{Clos, CoreId, LeafId, SpineId, SwitchRef};
 
-use crate::packet::{ecmp_hash, ElmoPacketRepr, FlightPacket};
+use crate::packet::FlightPacket;
 
 /// The group table's hash map type. IPv4 keys are tiny and fully random in
 /// the low octets, so the default SipHash is pure overhead on the lookup
@@ -144,31 +144,31 @@ impl SwitchStats {
         self.dropped_header_vector += o.dropped_header_vector;
     }
 
-    fn hit_prule(&mut self) {
+    pub(crate) fn hit_prule(&mut self) {
         self.prule_hits += 1;
     }
 
-    fn hit_srule(&mut self) {
+    pub(crate) fn hit_srule(&mut self) {
         self.srule_hits += 1;
     }
 
-    fn hit_default(&mut self) {
+    pub(crate) fn hit_default(&mut self) {
         self.default_hits += 1;
     }
 
-    fn hit_unicast(&mut self) {
+    pub(crate) fn hit_unicast(&mut self) {
         self.unicast_forwarded += 1;
     }
 
-    fn drop_no_rule(&mut self) {
+    pub(crate) fn drop_no_rule(&mut self) {
         self.dropped_no_rule += 1;
     }
 
-    fn drop_parse(&mut self) {
+    pub(crate) fn drop_parse(&mut self) {
         self.dropped_parse += 1;
     }
 
-    fn drop_header_vector(&mut self) {
+    pub(crate) fn drop_header_vector(&mut self) {
         self.dropped_header_vector += 1;
     }
 }
@@ -247,8 +247,8 @@ fn push_word_hops(words: &[u64], state: u8, out: &mut Vec<(u16, u8)>) {
 /// sorted dense key index (binary-searched, no hashing of any kind per
 /// copy) over a flat port-bitmap word arena. The plan carries the
 /// [`Stamp`] of the `table_version` it was compiled from; the hot path
-/// compares the stamps (per packet on the serial paths, once per switch
-/// run in the batched engine — `check_plan_stale`) and counts a mismatch
+/// compares the stamps (per packet in `NetworkSwitch::process`, once per
+/// switch per replay in the batched engine — `check_plan_stale`) and counts a mismatch
 /// as `fabric.replay.plan_stale_detected`, so any mutation path that
 /// forgets to recompile is visible in release metrics and trips a debug
 /// assert under `cargo test` instead of silently serving stale rules.
@@ -315,7 +315,7 @@ impl std::error::Error for GroupTableFull {}
 #[derive(Clone, Debug)]
 pub struct NetworkSwitch {
     id: SwitchRef,
-    topo: Clos,
+    pub(crate) topo: Clos,
     config: SwitchConfig,
     /// s-rules: outer multicast group address -> output ports (downstream
     /// ports only, like downstream p-rule bitmaps). Authoritative state;
@@ -454,11 +454,11 @@ impl NetworkSwitch {
     /// Process one packet arriving on `ingress_port`; returns the copies to
     /// emit as `(output port, packet bytes)` pairs.
     ///
-    /// This is the byte-level convenience wrapper around
-    /// [`process_flight`](Self::process_flight): parse once, forward the
-    /// flight form, materialize every output copy. Counters and bytes are
-    /// identical to [`process_reference`](Self::process_reference), the
-    /// pre-zero-copy encode-per-hop implementation kept for A/B comparison.
+    /// The byte-level convenience form of the forwarding path: parse once,
+    /// forward through [`process_hops_hv`](Self::process_hops_hv), and
+    /// materialize every output copy. The fabric never calls this — it
+    /// replays parsed batches through [`crate::shard`] — but it is the
+    /// direct way to drive one switch in isolation.
     pub fn process(
         &mut self,
         ingress_port: usize,
@@ -472,84 +472,34 @@ impl NetworkSwitch {
                 return Vec::new();
             }
         };
-        let mut flights = Vec::new();
-        self.process_flight(ingress_port, &pkt, layout, &mut flights);
-        flights
-            .into_iter()
-            .map(|(port, p)| (port, p.to_bytes(layout)))
+        self.check_plan_stale();
+        let mut c = SwitchCounters::default();
+        let mut hops = Vec::new();
+        self.process_hops_hv(
+            ingress_port,
+            &pkt,
+            pkt.header_vector_len(layout),
+            &mut c,
+            &mut hops,
+        );
+        self.commit(&c);
+        hops.into_iter()
+            .map(|(port, state)| (port as usize, pkt.copy_at(state).to_bytes(layout)))
             .collect()
     }
 
-    // ----- zero-copy flight path ---------------------------------------------
+    // ----- zero-copy forwarding path -----------------------------------------
 
-    /// Process one already-parsed packet arriving on `ingress_port`,
-    /// appending the copies to emit as `(output port, packet)` pairs.
-    ///
-    /// This is the replay fast path: no byte buffer is read or written and
-    /// nothing is allocated — each emitted copy is a plain struct copy
-    /// sharing the sender's header and payload `Arc`s, mirroring the
-    /// paper's §4.1 claim that forwarding touches only the compact header.
-    ///
-    /// The struct-of-arrays replay loops use [`process_hops`]
-    /// (Self::process_hops) directly and skip even the struct copies.
-    pub fn process_flight(
-        &mut self,
-        ingress_port: usize,
-        pkt: &FlightPacket,
-        layout: &HeaderLayout,
-        out: &mut Vec<(usize, FlightPacket)>,
-    ) {
-        let mut hops: Vec<(u16, u8)> = Vec::new();
-        self.process_hops(ingress_port, pkt, layout, &mut hops);
-        for (port, state) in hops {
-            let copy = if state == HOST_STRIPPED {
-                FlightPacket {
-                    elmo: None,
-                    popped: pop::NONE,
-                    ..pkt.clone()
-                }
-            } else {
-                FlightPacket {
-                    popped: state,
-                    ..pkt.clone()
-                }
-            };
-            out.push((port as usize, copy));
-        }
-    }
-
-    /// The struct-of-arrays form of [`process_flight`](Self::process_flight):
-    /// emit `(output port, hop state)` pairs instead of packet structs,
-    /// where the state is the copy's new [`elmo_core::pop`] depth or
-    /// [`HOST_STRIPPED`]. All matching, counters, and emission order are
-    /// identical — every copy of an injected packet shares the same header
-    /// and payload, so the depth byte is the *only* per-copy state and the
-    /// replay queues can be flat arrays with zero `Arc` traffic per hop.
-    pub fn process_hops(
-        &mut self,
-        ingress_port: usize,
-        pkt: &FlightPacket,
-        layout: &HeaderLayout,
-        out: &mut Vec<(u16, u8)>,
-    ) {
-        self.check_plan_stale();
-        let mut c = SwitchCounters::default();
-        self.process_hops_hv(
-            ingress_port,
-            pkt,
-            pkt.header_vector_len(layout),
-            &mut c,
-            out,
-        );
-        self.commit(&c);
-    }
-
-    /// [`process_hops`](Self::process_hops) with the packet's header-vector
-    /// length supplied by the caller and the counts written into `c`
-    /// instead of the switch. The batched replay engine precomputes every
-    /// packet's vector length per pop depth once at parse time
-    /// ([`crate::packet::FlightBatch`]), so its inner loop skips the
-    /// per-copy header walk this check otherwise costs.
+    /// Forward one parsed packet arriving on `ingress_port`, appending
+    /// `(output port, hop state)` pairs in ascending port order, where the
+    /// state is the copy's new [`elmo_core::pop`] depth or
+    /// [`HOST_STRIPPED`]. Every copy of an injected packet shares the same
+    /// header and payload, so the depth byte is the *only* per-copy state
+    /// and the replay queues can be flat arrays with zero `Arc` traffic
+    /// per hop. The caller supplies the packet's header-vector length
+    /// (the batched replay engine precomputes it per pop depth once at
+    /// parse time, [`crate::packet::FlightBatch`]), so the inner loop
+    /// skips the per-copy header walk this check otherwise costs.
     ///
     /// The switch is only read, so replay workers forward through one
     /// shared fabric at once, each into its own counter records. Nothing
@@ -586,10 +536,10 @@ impl NetworkSwitch {
     /// packet would turn a bookkeeping bug into packet loss) but the
     /// divergence is counted as `fabric.replay.plan_stale_detected` so
     /// operators and the verify harness see it; debug builds trip
-    /// immediately. [`process_hops`](Self::process_hops) checks per
-    /// packet; the batched engine checks every switch once per replay on
-    /// the calling thread, which covers every copy of the replay since the
-    /// fabric is borrowed immutably while the workers run.
+    /// immediately. [`process`](Self::process) checks per packet; the
+    /// replay engine checks every switch once per replay on the calling
+    /// thread, which covers every copy of the replay since the fabric is
+    /// borrowed immutably while the workers run.
     #[inline]
     pub fn check_plan_stale(&self) {
         if self.plan.version != self.table_version {
@@ -611,7 +561,7 @@ impl NetworkSwitch {
     }
 
     /// Which rule source a *downstream* copy of `pkt` resolves to at this
-    /// switch, mirroring [`process_hops`](Self::process_hops)' match order
+    /// switch, mirroring [`process_hops_hv`](Self::process_hops_hv)' match order
     /// exactly — own-id p-rule, then the installed group table, then the
     /// header's default p-rule — with no counters or side effects. Core
     /// switches report their core p-rule. This is the offline attribution
@@ -677,7 +627,7 @@ impl NetworkSwitch {
 
     /// [`absorb`](Self::absorb) plus the process-wide mirrors: how every
     /// single-switch entry point finishes.
-    fn commit(&mut self, c: &SwitchCounters) {
+    pub(crate) fn commit(&mut self, c: &SwitchCounters) {
         self.absorb(c);
         c.mirror();
     }
@@ -824,7 +774,7 @@ impl NetworkSwitch {
         }
     }
 
-    /// Plain underlay unicast on the flight path: route on the destination
+    /// Plain underlay unicast: route on the destination
     /// host address; the packet itself is forwarded unmodified (its pop
     /// depth — and `None` Elmo header — carry through).
     fn unicast_hops(&self, pkt: &FlightPacket, c: &mut SwitchCounters, out: &mut Vec<(u16, u8)>) {
@@ -862,323 +812,12 @@ impl NetworkSwitch {
         c.stats.hit_unicast();
         out.push((port as u16, pkt.popped));
     }
-
-    // ----- reference (pre-zero-copy) byte path -------------------------------
-
-    /// The pre-change encode-per-hop implementation, kept verbatim as the
-    /// reference for byte-identity golden tests and A/B benchmarking
-    /// (`Fabric::inject_reference`). Parses the packet, clones the repr per
-    /// direction, and re-encodes header *and* payload for every copy.
-    pub fn process_reference(
-        &mut self,
-        ingress_port: usize,
-        bytes: &[u8],
-        layout: &HeaderLayout,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let mut c = SwitchCounters::default();
-        let out = self.process_reference_inner(ingress_port, bytes, layout, &mut c);
-        self.commit(&c);
-        out
-    }
-
-    fn process_reference_inner(
-        &self,
-        ingress_port: usize,
-        bytes: &[u8],
-        layout: &HeaderLayout,
-        c: &mut SwitchCounters,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let (repr, inner_off) = match ElmoPacketRepr::parse(bytes, layout) {
-            Ok(p) => p,
-            Err(_) => {
-                c.stats.drop_parse();
-                return Vec::new();
-            }
-        };
-        if repr.header_vector_len(layout) > self.config.header_vector_limit {
-            c.stats.drop_header_vector();
-            return Vec::new();
-        }
-        let inner = &bytes[inner_off..];
-        if !ipv4::is_multicast(repr.group_ip) {
-            return self.forward_unicast(repr, inner, layout, c);
-        }
-        match self.id {
-            SwitchRef::Leaf(l) => self.process_leaf(l, ingress_port, repr, inner, layout, c),
-            SwitchRef::Spine(s) => self.process_spine(s, ingress_port, repr, inner, layout, c),
-            SwitchRef::Core(_) => self.process_core(repr, inner, layout, c),
-        }
-    }
-
-    // ----- multicast paths (reference implementation) ------------------------
-
-    fn process_leaf(
-        &self,
-        leaf: LeafId,
-        ingress_port: usize,
-        mut repr: ElmoPacketRepr,
-        inner: &[u8],
-        layout: &HeaderLayout,
-        c: &mut SwitchCounters,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let from_host = ingress_port < self.topo.leaf_down_ports();
-        let mut out = Vec::new();
-        if from_host {
-            // Upstream direction: the u-leaf p-rule drives everything.
-            let Some(header) = repr.elmo.take() else {
-                c.stats.drop_parse();
-                return out;
-            };
-            let Some(rule) = header.u_leaf.clone() else {
-                c.stats.drop_no_rule();
-                return out;
-            };
-            c.stats.hit_prule();
-            // Copies to co-located receivers: Elmo header fully stripped.
-            self.emit_host_copies(&rule.down, &repr, inner, layout, &mut out);
-            // Copy upward, with the u-leaf rule popped.
-            if rule.goes_up() {
-                let mut up_header = header;
-                up_header.pop_upstream_leaf();
-                c.pops += 1;
-                repr.elmo = Some(up_header);
-                if rule.multipath {
-                    let spine = (ecmp_hash(&repr, leaf.0 as u64) % self.topo.leaf_up_ports() as u64)
-                        as usize;
-                    out.push((
-                        self.topo.leaf_up_port(spine),
-                        self.encode(&repr, inner, layout),
-                    ));
-                } else {
-                    for spine in rule.up.iter_ones() {
-                        out.push((
-                            self.topo.leaf_up_port(spine),
-                            self.encode(&repr, inner, layout),
-                        ));
-                    }
-                }
-            }
-            return out;
-        }
-
-        // Downstream direction: match own identifier among d-leaf p-rules,
-        // then the group table, then the default p-rule.
-        let Some(header) = repr.elmo.take() else {
-            c.stats.drop_parse();
-            return out;
-        };
-        let ports: Option<PortBitmap> = if let Some(rule) = header.find_d_leaf(leaf.0) {
-            c.stats.hit_prule();
-            Some(rule.bitmap.clone())
-        } else if let Some(bm) = self.group_table.get(&repr.group_ip) {
-            c.stats.hit_srule();
-            Some(bm.clone())
-        } else if let Some(bm) = &header.d_leaf_default {
-            c.stats.hit_default();
-            Some(bm.clone())
-        } else {
-            c.stats.drop_no_rule();
-            None
-        };
-        if let Some(ports) = ports {
-            self.emit_host_copies(&ports, &repr, inner, layout, &mut out);
-        }
-        out
-    }
-
-    fn process_spine(
-        &self,
-        spine: SpineId,
-        ingress_port: usize,
-        mut repr: ElmoPacketRepr,
-        inner: &[u8],
-        layout: &HeaderLayout,
-        c: &mut SwitchCounters,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let from_leaf = ingress_port < self.topo.spine_down_ports();
-        let mut out = Vec::new();
-        let Some(header) = repr.elmo.take() else {
-            c.stats.drop_parse();
-            return out;
-        };
-        if from_leaf {
-            // Upstream: the u-spine p-rule.
-            let Some(rule) = header.u_spine.clone() else {
-                c.stats.drop_no_rule();
-                return out;
-            };
-            c.stats.hit_prule();
-            // Copies down to local member leaves: next hop is a leaf, so pop
-            // everything except the d-leaf section.
-            if !rule.down.is_empty() {
-                let mut down_header = header.clone();
-                down_header.pop_upstream_spine();
-                down_header.pop_core();
-                down_header.pop_d_spine();
-                c.pops += 3;
-                let mut down_repr = repr.clone();
-                down_repr.elmo = Some(down_header);
-                for port in rule.down.iter_ones() {
-                    out.push((port, self.encode(&down_repr, inner, layout)));
-                }
-            }
-            // Copy upward to the core, u-spine popped.
-            if rule.goes_up() {
-                let mut up_header = header;
-                up_header.pop_upstream_spine();
-                c.pops += 1;
-                repr.elmo = Some(up_header);
-                if rule.multipath {
-                    let core = (ecmp_hash(&repr, 0x51de ^ spine.0 as u64)
-                        % self.topo.spine_up_ports() as u64)
-                        as usize;
-                    out.push((
-                        self.topo.spine_up_port(core),
-                        self.encode(&repr, inner, layout),
-                    ));
-                } else {
-                    for core in rule.up.iter_ones() {
-                        out.push((
-                            self.topo.spine_up_port(core),
-                            self.encode(&repr, inner, layout),
-                        ));
-                    }
-                }
-            }
-            return out;
-        }
-
-        // Downstream: match own pod among d-spine p-rules, then the group
-        // table, then the default p-rule.
-        let pod = self.topo.pod_of_spine(spine);
-        let ports: Option<PortBitmap> = if let Some(rule) = header.find_d_spine(pod.0) {
-            c.stats.hit_prule();
-            Some(rule.bitmap.clone())
-        } else if let Some(bm) = self.group_table.get(&repr.group_ip) {
-            c.stats.hit_srule();
-            Some(bm.clone())
-        } else if let Some(bm) = &header.d_spine_default {
-            c.stats.hit_default();
-            Some(bm.clone())
-        } else {
-            c.stats.drop_no_rule();
-            None
-        };
-        if let Some(ports) = ports {
-            // Next hop is a leaf: pop the spine section.
-            let mut down_header = header;
-            down_header.pop_d_spine();
-            c.pops += 1;
-            repr.elmo = Some(down_header);
-            for port in ports.iter_ones() {
-                out.push((port, self.encode(&repr, inner, layout)));
-            }
-        }
-        out
-    }
-
-    fn process_core(
-        &self,
-        mut repr: ElmoPacketRepr,
-        inner: &[u8],
-        layout: &HeaderLayout,
-        c: &mut SwitchCounters,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let mut out = Vec::new();
-        let Some(header) = repr.elmo.take() else {
-            c.stats.drop_parse();
-            return out;
-        };
-        let Some(pods) = header.core.clone() else {
-            c.stats.drop_no_rule();
-            return out;
-        };
-        c.stats.hit_prule();
-        let mut down_header = header;
-        down_header.pop_core();
-        c.pops += 1;
-        repr.elmo = Some(down_header);
-        for pod in pods.iter_ones() {
-            out.push((pod, self.encode(&repr, inner, layout)));
-        }
-        out
-    }
-
-    // ----- unicast path -------------------------------------------------------
-
-    /// Plain underlay unicast: route on the destination host address. Used by
-    /// the unicast/overlay baselines and Elmo's failure fallback.
-    fn forward_unicast(
-        &self,
-        repr: ElmoPacketRepr,
-        inner: &[u8],
-        layout: &HeaderLayout,
-        c: &mut SwitchCounters,
-    ) -> Vec<(usize, Vec<u8>)> {
-        let Some(dst_host) = crate::hypervisor::host_of_ip(repr.group_ip) else {
-            c.stats.drop_parse();
-            return Vec::new();
-        };
-        if dst_host.0 as usize >= self.topo.num_hosts() {
-            c.stats.drop_parse();
-            return Vec::new();
-        }
-        let dst_leaf = self.topo.leaf_of_host(dst_host);
-        let dst_pod = self.topo.pod_of_leaf(dst_leaf);
-        let port = match self.id {
-            SwitchRef::Leaf(l) => {
-                if dst_leaf == l {
-                    self.topo.host_port_on_leaf(dst_host)
-                } else {
-                    let spine =
-                        (ecmp_hash(&repr, l.0 as u64) % self.topo.leaf_up_ports() as u64) as usize;
-                    self.topo.leaf_up_port(spine)
-                }
-            }
-            SwitchRef::Spine(s) => {
-                if self.topo.pod_of_spine(s) == dst_pod {
-                    self.topo.leaf_index_in_pod(dst_leaf)
-                } else {
-                    let core =
-                        (ecmp_hash(&repr, s.0 as u64) % self.topo.spine_up_ports() as u64) as usize;
-                    self.topo.spine_up_port(core)
-                }
-            }
-            SwitchRef::Core(_) => dst_pod.0 as usize,
-        };
-        c.stats.hit_unicast();
-        vec![(port, self.encode(&repr, inner, layout))]
-    }
-
-    fn emit_host_copies(
-        &self,
-        ports: &PortBitmap,
-        repr: &ElmoPacketRepr,
-        inner: &[u8],
-        layout: &HeaderLayout,
-        out: &mut Vec<(usize, Vec<u8>)>,
-    ) {
-        if ports.is_empty() {
-            return;
-        }
-        // Host-bound copies carry no Elmo header (egress invalidation).
-        let mut host_repr = repr.clone();
-        host_repr.elmo = None;
-        for port in ports.iter_ones() {
-            out.push((port, self.encode(&host_repr, inner, layout)));
-        }
-    }
-
-    fn encode(&self, repr: &ElmoPacketRepr, inner: &[u8], layout: &HeaderLayout) -> Vec<u8> {
-        let mut buf = Vec::new();
-        repr.emit(layout, inner, &mut buf);
-        buf
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::ElmoPacketRepr;
     use elmo_core::{ElmoHeader, UpstreamRule};
     use elmo_net::ethernet::MacAddr;
     use elmo_net::vxlan::Vni;

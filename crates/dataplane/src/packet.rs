@@ -444,6 +444,24 @@ impl FlightPacket {
         self.elmo.as_deref().and_then(|h| h.d_leaf_default.as_ref())
     }
 
+    /// This packet's copy in hop `state`: a pop depth, or
+    /// [`HOST_STRIPPED`](crate::netswitch::HOST_STRIPPED) for a host-bound
+    /// copy with the Elmo header removed.
+    pub(crate) fn copy_at(&self, state: u8) -> FlightPacket {
+        if state == crate::netswitch::HOST_STRIPPED {
+            FlightPacket {
+                elmo: None,
+                popped: pop::NONE,
+                ..self.clone()
+            }
+        } else {
+            FlightPacket {
+                popped: state,
+                ..self.clone()
+            }
+        }
+    }
+
     /// Serialize into a fresh exactly-sized buffer.
     pub fn to_bytes(&self, layout: &HeaderLayout) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len(layout));

@@ -1,6 +1,8 @@
-//! Packet-parallel replay: a batch of parsed packets split into
-//! contiguous packet-index ranges, one per worker, every worker
-//! forwarding through the same shared `&Fabric`.
+//! The replay engine: the one copy-traversal loop of the data plane. A
+//! batch of parsed packets is split into contiguous packet-index ranges,
+//! one per worker, every worker forwarding through the same shared
+//! `&Fabric`. `Fabric::inject`, `inject_batch`, `inject_flight` and
+//! `inject_traced` are thin wrappers over it.
 //!
 //! # Why packets are independent
 //!
@@ -30,9 +32,7 @@
 //! for_each`] through one recycled scratch buffer, [`DeliveryBatch::
 //! to_vec`] into owned vectors). Replaying a 20k-packet batch therefore
 //! touches a few hundred kilobytes of delivery state instead of
-//! streaming ~75 MB of packet bytes through cold memory — the same
-//! parse-once/share-everything argument as the flight path itself,
-//! carried through to the output.
+//! streaming ~75 MB of packet bytes through cold memory.
 //!
 //! # Run grouping
 //!
@@ -46,6 +46,18 @@
 //! precomputed [`FlightBatch`] wire-length rows, and output ports resolve
 //! through the fabric's compiled [`HopTable`] — the inner loop never
 //! walks a header or the topology math.
+//!
+//! # One tracer
+//!
+//! A traced replay records one [`TraceEvent`] per replication edge. The
+//! copy-tree trace keeps them as they are; capture sessions and
+//! `Fabric::inject_traced`'s [`HopRecord`]s are read off the same events
+//! after the join. Each packet's tree is walked with a LIFO stack, every
+//! switch's children in ascending egress port (resolved back through the
+//! [`HopTable`]), which is exactly the traversal order of the
+//! [`crate::reference`] byte loop; a failed switch yields no record. Run
+//! grouping scrambles the order copies are *forwarded* in, but not the
+//! tree they form, so capture and hop tracing run on any worker count.
 //!
 //! # Determinism
 //!
@@ -65,45 +77,19 @@ use elmo_topology::{Clos, HostId, SwitchRef};
 use elmo_obs::{FlightRecorder, TraceEvent, HOST_NODE_BIT, TRACE_ROOT};
 
 use crate::fabric::{
-    dense_switch_id, dense_switch_ref, metrics, next_hop, Fabric, FabricStats, Hop, LinkTier,
+    dense_switch_id, dense_switch_ref, metrics, next_hop, Fabric, FabricStats, Hop, HopRecord,
+    LinkTier,
 };
 use crate::netswitch::{SwitchCounters, HOST_STRIPPED};
 use crate::packet::{FlightBatch, FlightPacket, HostEmitCache};
 
-/// Count every batched call that a capture or hop-trace session forces
-/// onto the serial path, and say so once per process — silent fallback
-/// made a `--trace-pcap` replay look parallel while it was not.
-fn note_trace_serial_fallback(caller: &'static str) {
-    metrics().trace_serial_fallback.inc();
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        elmo_obs::warn!(
-            "fabric.replay.trace_serial_fallback",
-            caller = caller,
-            reason = "capture/hop-trace session pins traversal order; workers disabled"
-        );
-    });
-}
-
-/// Delivery-state marker for entries recorded by the serial
-/// capture/trace fallback, whose bytes were materialized eagerly into
-/// the segment's side arena (pop depths are tiny; [`HOST_STRIPPED`] is
-/// `u8::MAX`, this sits just below it).
-const FALLBACK_BYTES: u8 = u8::MAX - 1;
-
 /// One worker's delivery output in struct-of-arrays form. Entry `i` is
-/// `(hosts[i], pkt[i], state[i])`; bytes are derived on demand. The
-/// `start`/`len`/`bytes` arena is used only by the serial capture/trace
-/// fallback (`state == FALLBACK_BYTES`), which receives bytes instead of
-/// flight state.
+/// `(hosts[i], pkt[i], state[i])`; bytes are derived on demand.
 #[derive(Clone, Debug, Default)]
 struct Segment {
     hosts: Vec<HostId>,
     pkt: Vec<u32>,
     state: Vec<u8>,
-    start: Vec<u32>,
-    len: Vec<u32>,
-    bytes: Vec<u8>,
     /// Entry indices in canonical order, set by
     /// [`sort_canonical`](Self::sort_canonical).
     order: Vec<u32>,
@@ -118,9 +104,6 @@ impl Segment {
         self.hosts.clear();
         self.pkt.clear();
         self.state.clear();
-        self.start.clear();
-        self.len.clear();
-        self.bytes.clear();
         self.order.clear();
     }
 
@@ -131,27 +114,8 @@ impl Segment {
         self.state.push(state);
     }
 
-    fn push_bytes(&mut self, host: HostId, pkt: u32, b: &[u8]) {
-        self.push(host, pkt, FALLBACK_BYTES);
-        self.start.push(self.bytes.len() as u32);
-        self.len.push(b.len() as u32);
-        self.bytes.extend_from_slice(b);
-    }
-
-    /// Arena slice for a fallback entry (entry `i` must be the `i`-th
-    /// push overall *and* pushes must all have been `push_bytes` — the
-    /// fallback path never mixes forms within a batch).
-    #[inline]
-    fn fallback_bytes(&self, i: usize) -> &[u8] {
-        let s = self.start[i] as usize;
-        &self.bytes[s..s + self.len[i] as usize]
-    }
-
     /// Build `order`, the canonical `(packet, host, state)` iteration
-    /// order. The `(packet, host)` key decides everything except
-    /// exact-duplicate deliveries, which fall back to the state byte
-    /// (engine entries — two states, two byte strings) or the arena bytes
-    /// (fallback entries).
+    /// order.
     fn sort_canonical(&mut self) {
         // A packet fans out to a handful of hosts, so this is a counting
         // sort by packet index (linear) followed by a tiny `(host, state)`
@@ -187,16 +151,7 @@ impl Segment {
             let run_end = end as usize;
             let run = &mut keyed[run_start..run_end];
             if run.len() > 1 {
-                run.sort_unstable_by(|a, b| {
-                    a.0.cmp(&b.0).then_with(|| {
-                        if (a.0 & 0xff) as u8 == FALLBACK_BYTES {
-                            self.fallback_bytes(a.1 as usize)
-                                .cmp(self.fallback_bytes(b.1 as usize))
-                        } else {
-                            std::cmp::Ordering::Equal
-                        }
-                    })
-                });
+                run.sort_unstable_by_key(|e| e.0);
             }
             run_start = run_end;
         }
@@ -283,36 +238,28 @@ impl DeliveryBatch {
         let mut host_emit = HostEmitCache::new();
         for seg in &self.segments {
             for &i in &seg.order {
-                let (i, host) = (i as usize, seg.hosts[i as usize]);
-                match seg.state[i] {
-                    FALLBACK_BYTES => {
-                        memo = None;
-                        f(host, seg.fallback_bytes(i));
+                let i = i as usize;
+                let (pkt_i, state) = (seg.pkt[i], seg.state[i]);
+                if memo != Some((pkt_i, state)) {
+                    scratch.clear();
+                    let pkt = &self.pkts[pkt_i as usize];
+                    if state == HOST_STRIPPED {
+                        host_emit.append_host_to(pkt, &layout, &mut scratch);
+                    } else {
+                        let mut p = pkt.clone();
+                        p.popped = state;
+                        p.append_to(&layout, &mut scratch);
                     }
-                    state => {
-                        let pkt_i = seg.pkt[i];
-                        if memo != Some((pkt_i, state)) {
-                            scratch.clear();
-                            let pkt = &self.pkts[pkt_i as usize];
-                            if state == HOST_STRIPPED {
-                                host_emit.append_host_to(pkt, &layout, &mut scratch);
-                            } else {
-                                let mut p = pkt.clone();
-                                p.popped = state;
-                                p.append_to(&layout, &mut scratch);
-                            }
-                            memo = Some((pkt_i, state));
-                        }
-                        f(host, &scratch);
-                    }
+                    memo = Some((pkt_i, state));
                 }
+                f(seg.hosts[i], &scratch);
             }
         }
         self.scratch = scratch;
     }
 
-    /// Materialize into the owned-bytes form of
-    /// [`Fabric::inject_batch`], same canonical order as
+    /// Materialize into the owned-bytes form
+    /// [`Fabric::inject_batch`] returns, same canonical order as
     /// [`for_each`](Self::for_each).
     pub fn to_vec(&mut self) -> Vec<(HostId, Vec<u8>)> {
         let mut out = Vec::with_capacity(self.len());
@@ -389,6 +336,24 @@ impl HopTable {
     fn hop(&self, dense: u32, port: u16) -> PlannedHop {
         self.hops[self.off[dense as usize] as usize + port as usize]
     }
+
+    /// The output port of switch `dense` that leads to trace node
+    /// `child` (a dense switch id or `HOST_NODE_BIT | host`). Clos links
+    /// are never parallel, so the port is unique.
+    fn egress_port(&self, dense: u32, child: u32) -> u16 {
+        let lo = self.off[dense as usize] as usize;
+        let hi = self
+            .off
+            .get(dense as usize + 1)
+            .map_or(self.hops.len(), |&o| o as usize);
+        self.hops[lo..hi]
+            .iter()
+            .position(|h| match *h {
+                PlannedHop::Host(host) => HOST_NODE_BIT | host.0 == child,
+                PlannedHop::Switch { dense, .. } => dense == child,
+            })
+            .expect("a trace edge follows a link") as u16
+    }
 }
 
 /// A packet's first copy: it enters its ingress leaf from the host.
@@ -449,56 +414,18 @@ struct Shared<'a> {
     recorder_cap: usize,
 }
 
+/// How one input packet of a byte-level injection met the fabric, kept
+/// only while capturing: the capture records its raw bytes first, then
+/// (if it was replayed) its copies.
+pub(crate) struct Ingress {
+    /// Parsed and handed to the engine as the next batch packet (false:
+    /// lost before parsing — failed ingress leaf, or garbage).
+    pub(crate) replayed: bool,
+    /// The bytes the host sent.
+    pub(crate) bytes: Vec<u8>,
+}
+
 impl Fabric {
-    /// Inject a batch of wire packets through the batched engine.
-    ///
-    /// Delivery *set* and all counters are identical to
-    /// [`inject_batch`](Self::inject_batch); the returned vector is in
-    /// canonical `(packet index, host, bytes)` order, which is the same
-    /// for every `shards` value (0 = one worker per available core).
-    /// Each packet is parsed once here, on behalf of its ingress leaf:
-    /// a packet entering through a failed leaf is counted on the wire and
-    /// lost before parsing, and one that fails to parse is counted as a
-    /// parse drop on the leaf. The rest replay through
-    /// [`replay_flights_sharded`](Self::replay_flights_sharded).
-    pub fn inject_batch_sharded<I>(&mut self, packets: I, shards: usize) -> Vec<(HostId, Vec<u8>)>
-    where
-        I: IntoIterator<Item = (HostId, Vec<u8>)>,
-    {
-        let mut flights = Vec::new();
-        for (from, bytes) in packets {
-            let leaf = self.topo.leaf_of_host(from);
-            let parsed = if self.down.contains(&SwitchRef::Leaf(leaf)) {
-                None
-            } else {
-                let p = FlightPacket::parse(&bytes, &self.layout).ok();
-                if p.is_none() {
-                    self.leaves[leaf.0 as usize].note_parse_drop();
-                }
-                p
-            };
-            match parsed {
-                Some(pkt) => flights.push((from, pkt)),
-                None => self.count_ingress(bytes.len() as u64),
-            }
-        }
-        let mut out = DeliveryBatch::new();
-        self.replay_flights_sharded(&flights, shards, &mut out);
-        out.to_vec()
-    }
-
-    /// [`replay_flights_sharded`](Self::replay_flights_sharded) returned
-    /// as owned vectors in the same canonical order.
-    pub fn inject_flights_sharded(
-        &mut self,
-        flights: &[(HostId, FlightPacket)],
-        shards: usize,
-    ) -> Vec<(HostId, Vec<u8>)> {
-        let mut out = DeliveryBatch::new();
-        self.replay_flights_sharded(flights, shards, &mut out);
-        out.to_vec()
-    }
-
     /// The batched replay engine's entry point: drive a batch of
     /// pre-parsed packets through up to `shards` workers (0 = one per
     /// available core), each replaying a contiguous packet-index range,
@@ -506,27 +433,32 @@ impl Fabric {
     /// repeated replay into the same `DeliveryBatch` is allocation-free
     /// once warm).
     ///
-    /// Counters and the canonical delivery sequence are identical to the
-    /// serial flight path for every worker count. Capture and hop-trace
-    /// sessions force the serial path (their buffers record traversal
-    /// order, which only the serial loop defines).
+    /// Counters and the canonical delivery sequence are identical for
+    /// every worker count, and so are capture and trace sessions: they
+    /// are derived from the replay's copy-tree events after the join.
     pub fn replay_flights_sharded(
         &mut self,
         flights: &[(HostId, FlightPacket)],
         shards: usize,
         out: &mut DeliveryBatch,
     ) {
-        if self.capture.is_some() || self.trace.is_some() {
-            note_trace_serial_fallback("replay_flights_sharded");
-            out.reset(1, self.layout);
-            for (i, (from, pkt)) in flights.iter().enumerate() {
-                for (h, b) in self.inject_flight(*from, pkt.clone()) {
-                    out.segments[0].push_bytes(h, i as u32, &b);
-                }
-            }
-            out.segments[0].sort_canonical();
-            return;
-        }
+        self.replay(flights, shards, out, &[], false);
+    }
+
+    /// [`replay_flights_sharded`](Self::replay_flights_sharded) with the
+    /// capture's view of how the packets entered (`ingress`, empty when
+    /// every packet entered as its flight). Returns the batch's trace
+    /// events in canonical order, with batch-local packet indices, when
+    /// `record` is set or a capture or copy-tree session is armed (empty
+    /// otherwise).
+    pub(crate) fn replay(
+        &mut self,
+        flights: &[(HostId, FlightPacket)],
+        shards: usize,
+        out: &mut DeliveryBatch,
+        ingress: &[Ingress],
+        record: bool,
+    ) -> Vec<TraceEvent> {
         metrics().shard_batches.inc();
         // Build the SoA batch on the `DeliveryBatch`'s recycled buffers:
         // the packet slots come back for materialization anyway, and the
@@ -553,17 +485,15 @@ impl Fabric {
             });
         }
         batch_links.packets_on_links += flights.len() as u64;
-        let tracing = self.tree.is_some();
-        if let Some(t) = &mut self.tree {
-            t.events.extend(seeds.iter().map(|s| TraceEvent {
+        let tracing = record || self.tree.is_some() || self.capture.is_some();
+        let mut events: Vec<TraceEvent> = Vec::new();
+        if tracing {
+            events.extend(seeds.iter().map(|s| TraceEvent {
                 pkt: s.pkt,
                 parent: TRACE_ROOT,
                 child: s.sw,
                 state: s.state,
             }));
-            // Serial injections after this batch must not reuse its
-            // packet indices.
-            t.next_pkt = t.next_pkt.max(batch.len() as u32);
         }
         // The workers borrow the fabric immutably, so no table can change
         // under them: one stamp compare per switch covers the whole batch.
@@ -623,9 +553,7 @@ impl Fabric {
                     batch_switches.absorb(c);
                 }
             }
-            if let Some(tree) = &mut self.tree {
-                tree.events.extend(t.events);
-            }
+            events.extend(t.events);
             recorders.push(t.recorder);
         }
         self.stats.absorb(&batch_links);
@@ -637,6 +565,152 @@ impl Fabric {
         }
         out.pkts = pkts;
         out.wire_scratch = wire;
+        if tracing {
+            elmo_obs::sort_events(&mut events);
+            if self.capture.is_some() {
+                self.capture_batch(flights, &events, ingress);
+            }
+            if let Some(tree) = &mut self.tree {
+                // One running offset per session: this replay's packets
+                // follow every packet an earlier replay numbered.
+                let base = tree.next_pkt;
+                tree.events.extend(events.iter().map(|e| TraceEvent {
+                    pkt: base + e.pkt,
+                    ..*e
+                }));
+                tree.next_pkt = base + flights.len() as u32;
+            }
+        }
+        events
+    }
+
+    /// Append one replayed batch to the capture, in input order: each
+    /// packet's ingress bytes, then its wire copies in traversal order,
+    /// until the session's limit. An empty `ingress` means every packet
+    /// entered as its flight, so its ingress bytes are re-materialized.
+    fn capture_batch(
+        &mut self,
+        flights: &[(HostId, FlightPacket)],
+        events: &[TraceEvent],
+        ingress: &[Ingress],
+    ) {
+        let Some((limit, mut cap)) = self.capture.take() else {
+            return;
+        };
+        let layout = self.layout;
+        let own: Vec<Ingress>;
+        let ingress = if ingress.is_empty() {
+            own = flights
+                .iter()
+                .map(|(_, pkt)| Ingress {
+                    replayed: true,
+                    bytes: pkt.to_bytes(&layout),
+                })
+                .collect();
+            &own
+        } else {
+            ingress
+        };
+        let mut materialized = 0u64;
+        let mut next = 0;
+        for entry in ingress {
+            if cap.len() < limit {
+                cap.push(entry.bytes.clone());
+            }
+            if !entry.replayed {
+                continue;
+            }
+            let (from, pkt) = &flights[next];
+            self.walk_copy_tree(next as u32, *from, pkt.popped, events, |_, _, _, outs| {
+                for &(_, _, state) in outs {
+                    if cap.len() < limit {
+                        cap.push(pkt.copy_at(state).to_bytes(&layout));
+                        materialized += 1;
+                    }
+                }
+            });
+            next += 1;
+        }
+        metrics().replay_materialized.add(materialized);
+        self.capture = Some((limit, cap));
+    }
+
+    /// One [`HopRecord`] per switch visit of every packet in `flights`,
+    /// read off the replay's `events` and the wire-length rows `out`
+    /// kept from the same replay.
+    pub(crate) fn hop_records(
+        &self,
+        flights: &[(HostId, FlightPacket)],
+        out: &DeliveryBatch,
+        events: &[TraceEvent],
+    ) -> Vec<HopRecord> {
+        let mut hops = Vec::new();
+        for (i, (from, pkt)) in flights.iter().enumerate() {
+            let row = &out.wire_scratch[i];
+            self.walk_copy_tree(
+                i as u32,
+                *from,
+                pkt.popped,
+                events,
+                |sw, port, state, outs| {
+                    hops.push(HopRecord {
+                        switch: dense_switch_ref(&self.topo, sw),
+                        ingress_port: port as usize,
+                        bytes_in: row[state as usize] as usize,
+                        egress_ports: outs.iter().map(|o| o.0 as usize).collect(),
+                    });
+                },
+            );
+        }
+        hops
+    }
+
+    /// Walk packet `pkt`'s copy tree (sent by `from` at pop depth
+    /// `state0`) in the reference loop's traversal order: a LIFO stack,
+    /// each switch's outputs in ascending egress port. `visit(switch,
+    /// ingress port, state, outputs)` runs for every switch that handled
+    /// a copy — failed switches are skipped — with `outputs` as
+    /// `(egress port, child node, state)`. A switch the packet reaches
+    /// twice (possible only with an explicit multi-port upstream cover)
+    /// is one copy-tree node; its edges are split between its visits, one
+    /// copy per child per visit.
+    fn walk_copy_tree(
+        &self,
+        pkt: u32,
+        from: HostId,
+        state0: u8,
+        events: &[TraceEvent],
+        mut visit: impl FnMut(u32, u16, u8, &[(u16, u32, u8)]),
+    ) {
+        let evs = &events[events.partition_point(|e| e.pkt < pkt)..];
+        let evs = &evs[..evs.partition_point(|e| e.pkt == pkt)];
+        let mut used = vec![false; evs.len()];
+        let mut outs: Vec<(u16, u32, u8)> = Vec::new();
+        let leaf = self.topo.leaf_of_host(from).0;
+        let mut stack = vec![(leaf, self.topo.host_port_on_leaf(from) as u16, state0)];
+        while let Some((sw, port, state)) = stack.pop() {
+            if self.down.contains(&dense_switch_ref(&self.topo, sw)) {
+                continue; // failed switch: the copy is lost here
+            }
+            outs.clear();
+            let lo = evs.partition_point(|e| e.parent < sw);
+            let hi = evs.partition_point(|e| e.parent <= sw);
+            for k in lo..hi {
+                let e = evs[k];
+                if used[k] || outs.last().is_some_and(|o| o.1 == e.child) {
+                    continue;
+                }
+                used[k] = true;
+                outs.push((self.hops.egress_port(sw, e.child), e.child, e.state));
+            }
+            outs.sort_unstable();
+            visit(sw, port, state, &outs);
+            for &(egress, _, out_state) in &outs {
+                if let PlannedHop::Switch { dense, port, .. } = self.hops.hop(sw, egress) {
+                    stack.push((dense, port, out_state));
+                }
+            }
+        }
     }
 }
 
@@ -686,7 +760,7 @@ fn replay_range(
         std::mem::swap(&mut buckets[d], &mut run);
         if fabric.down.contains(&dense_switch_ref(&fabric.topo, sw)) {
             // Failed switch: the whole run is lost here, exactly as in
-            // the serial loop.
+            // the reference loop.
             run.clear();
             continue;
         }

@@ -42,8 +42,8 @@
 //!   --replay-threads N  data-plane replay shard count for verify's
 //!                   differential mode and the fig6/telemetry/SMR app
 //!                   fabrics (default: verify samples one from the seed,
-//!                   clamped to the available cores; apps stay serial;
-//!                   results are identical either way)
+//!                   clamped to the available cores; apps use one
+//!                   worker; results are identical either way)
 //!   --replay-allow-oversubscribed  let verify's seed-derived shard count
 //!                   exceed the available cores; the report marks
 //!                   `replay_shards.oversubscribed` either way

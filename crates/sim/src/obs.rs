@@ -62,11 +62,8 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "fabric.spine_to_leaf_bytes",
     "fabric.spine_to_core_bytes",
     "fabric.core_to_spine_bytes",
-    // Zero-copy replay loop health: scratch-buffer reuse vs growth, and
-    // how many copies were actually serialized back to wire bytes (only
-    // host deliveries and captures should be).
-    "fabric.replay.buffer_reuse",
-    "fabric.replay.fresh_alloc",
+    // Copies actually serialized back to wire bytes (only host
+    // deliveries and captures should be).
     "fabric.replay.materialized",
     // Compiled MatchPlan freshness: bumped on every s-rule install or
     // removal that recompiles a switch's plan. Zero after a churn delta
@@ -77,7 +74,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     // builds included); any nonzero value is a recompile-discipline bug.
     "fabric.replay.plan_stale_detected",
     "fabric.replay.shard.batches",
-    "fabric.replay.trace_serial_fallback",
     // Copy-tree tracing and the windowed time-series (§7 monitoring
     // direction; `elmo-eval trace` / `timeline`).
     "trace.events_recorded",
@@ -188,8 +184,9 @@ pub fn write_trace_pcap(path: &str, limit: usize) -> std::io::Result<usize> {
         let payload = format!("elmo trace group {gi}");
         for pkt in hv.send(vni, tenant_addr, payload.as_bytes(), ctl.layout()) {
             for (_host, bytes) in fabric.inject(sender, pkt) {
-                // Deliveries also land in the capture via the fabric tap;
-                // decap one to exercise the receive path.
+                // Deliveries also land in the capture (rebuilt from the
+                // replay's copy tree); decap one to exercise the receive
+                // path.
                 let _ = hv_rx.receive(&bytes, ctl.layout());
             }
         }

@@ -52,9 +52,9 @@ pub struct VerifyExpConfig {
     pub samples: usize,
     /// Seed for the differential sampler.
     pub seed: u64,
-    /// Worker count for the differential replay: 1 = serial loop, more
-    /// = the batched packet-parallel engine, 0 = one worker per core.
-    /// Either way the replays are diffed against the same static walk.
+    /// Worker count for the differential replay (0 = one per core). The
+    /// whole sample replays as one batch and is diffed against the same
+    /// static walk whatever the count.
     pub replay_threads: usize,
 }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use elmo_controller::{Controller, GroupId};
 use elmo_core::SplitMix64;
-use elmo_dataplane::{Fabric, HypervisorSwitch, SenderFlow};
+use elmo_dataplane::{DeliveryBatch, Fabric, HypervisorSwitch, SenderFlow};
 use elmo_topology::HostId;
 
 use crate::report::{RuleRef, Violation, ViolationKind, Witness};
@@ -28,7 +28,7 @@ pub struct DifferentialOutcome {
     /// Disagreements between the static walk and the replay.
     pub violations: Vec<Violation>,
     /// For every diverging (group, sender), the traced copy tree of a
-    /// serial re-run — the postmortem witness the report embeds.
+    /// single-packet re-run — the postmortem witness the report embeds.
     pub divergence_traces: Vec<DivergenceTrace>,
 }
 
@@ -58,15 +58,14 @@ pub fn differential_check(
     differential_check_with(ctl, fabric, max_samples, seed, 1)
 }
 
-/// [`differential_check`] with the replay routed through the batched
-/// engine when `replay_threads > 1` — the same diff against the static
-/// walk, but exercising the engine's compiled hop table, run-grouped
-/// forwarding and post-join merge instead of the serial loop. The walk's
-/// predictions don't change, so any divergence the batched engine
-/// introduces surfaces as a Loss/Leakage/EncapMismatch violation here.
-/// Each sample replays as its own one-packet batch, which one worker
-/// runs whatever `replay_threads` says; `tests/replay_identity.rs` pins
-/// the multi-worker split.
+/// [`differential_check`] with the replay spread over `replay_threads`
+/// workers (0 = one per core). Every sampled sender's packet is built
+/// first and the whole sample replays as one batch, so the engine's
+/// packet-range split, post-join merge and compiled hop table are all on
+/// the path being diffed; deliveries are attributed back to their sample
+/// by packet index. The walk's predictions don't change, so any
+/// divergence the engine introduces surfaces as a Loss/Leakage/
+/// EncapMismatch violation here.
 pub fn differential_check_with(
     ctl: &Controller,
     fabric: &mut Fabric,
@@ -90,9 +89,13 @@ pub fn differential_check_with(
     ids.truncate(max_samples);
     ids.sort_unstable_by_key(|g| g.0);
 
-    let mut violations = Vec::new();
-    let mut divergence_traces = Vec::new();
+    // Phase 1: walk and encapsulate every sample. A sample that fails
+    // before replay keeps its violation in group order.
+    let mut samples: Vec<Result<Probe, Violation>> = Vec::new();
     let mut sampled = 0usize;
+    let mut flights = Vec::new();
+    // The sample each batch packet belongs to.
+    let mut owners: Vec<usize> = Vec::new();
     for gid in ids {
         let Some(state) = ctl.group(gid) else {
             continue;
@@ -103,7 +106,7 @@ pub fn differential_check_with(
         }
         let sender = senders[(rng.next_u64() % senders.len() as u64) as usize];
         let Some(header) = ctl.header_for(gid, sender) else {
-            violations.push(Violation {
+            samples.push(Err(Violation {
                 group: Some(gid),
                 kind: ViolationKind::Loss,
                 witness: Witness {
@@ -111,7 +114,7 @@ pub fn differential_check_with(
                     ..Witness::default()
                 },
                 detail: "controller produced no header for a multicast sender".into(),
-            });
+            }));
             continue;
         };
         sampled += 1;
@@ -129,7 +132,7 @@ pub fn differential_check_with(
             .into();
         let mut pkts = hv.send_flight(state.vni, state.tenant_addr, &payload);
         if pkts.len() != 1 {
-            violations.push(Violation {
+            samples.push(Err(Violation {
                 group: Some(gid),
                 kind: ViolationKind::EncapMismatch,
                 witness: Witness {
@@ -138,14 +141,10 @@ pub fn differential_check_with(
                     ..Witness::default()
                 },
                 detail: format!("sender flow produced {} packets, expected 1", pkts.len()),
-            });
+            }));
             continue;
         }
         let pkt = pkts.remove(0);
-        // Kept aside for the divergence postmortem: a traced serial
-        // re-run of the same flight (Arc bumps only, no byte copies).
-        let trace_pkt = pkt.clone();
-        let before = violations.len();
         // Every host copy is the same bytes: the outer stack with the Elmo
         // header stripped, plus the payload.
         let expected_bytes = {
@@ -153,12 +152,53 @@ pub fn differential_check_with(
             host_copy.elmo = None;
             host_copy.to_bytes(&layout)
         };
+        owners.push(samples.len());
+        samples.push(Ok(Probe {
+            gid,
+            sender,
+            predicted,
+            expected_bytes,
+            delivered: Vec::new(),
+        }));
+        flights.push((sender, pkt));
+    }
 
-        let delivered = if replay_threads > 1 {
-            fabric.inject_flights_sharded(&[(sender, pkt)], replay_threads)
-        } else {
-            fabric.inject_flight(sender, pkt)
+    // Phase 2: one replay for the whole sample, deliveries attributed to
+    // their sample by batch packet index.
+    let mut out = DeliveryBatch::new();
+    fabric.replay_flights_sharded(&flights, replay_threads, &mut out);
+    // `entries` and `for_each` walk the same canonical order.
+    let packets: Vec<u32> = out.entries().map(|(_, pkt)| pkt).collect();
+    let mut k = 0;
+    out.for_each(|h, bytes| {
+        if let Ok(probe) = &mut samples[owners[packets[k] as usize]] {
+            probe.delivered.push((h, bytes.to_vec()));
+        }
+        k += 1;
+    });
+
+    // Phase 3: diff each sample against its walk, in group order.
+    let mut violations = Vec::new();
+    let mut divergence_traces = Vec::new();
+    let mut flight = 0;
+    for sample in samples {
+        let Probe {
+            gid,
+            sender,
+            predicted,
+            expected_bytes,
+            delivered,
+        } = match sample {
+            Ok(probe) => probe,
+            Err(v) => {
+                violations.push(v);
+                continue;
+            }
         };
+        // Replayed samples are the batch's packets, in order.
+        let pkt = &flights[flight].1;
+        flight += 1;
+        let before = violations.len();
         let mut observed: BTreeMap<HostId, u32> = BTreeMap::new();
         for (h, bytes) in delivered {
             *observed.entry(h).or_insert(0) += 1;
@@ -207,11 +247,11 @@ pub fn differential_check_with(
             }
         }
         if violations.len() > before {
-            // Divergence: attach the traced copy tree of a serial re-run
-            // as the witness. Tracing never changes deliveries, so the
-            // re-run reproduces exactly what the diff above observed.
+            // Divergence: attach the traced copy tree of a re-run as the
+            // witness. Tracing never changes deliveries, so the re-run
+            // reproduces exactly what the diff above observed.
             fabric.start_tree_trace();
-            let _ = fabric.inject_flight(sender, trace_pkt);
+            let _ = fabric.inject_flight(sender, pkt.clone());
             let events = fabric.take_tree_trace();
             let tree = elmo_obs::CopyTree::build(0, &events, |n| {
                 elmo_dataplane::trace_node_label(ctl.topo(), n)
@@ -228,4 +268,16 @@ pub fn differential_check_with(
         violations,
         divergence_traces,
     }
+}
+
+/// One sampled (group, sender) pair that reached the replay.
+struct Probe {
+    gid: GroupId,
+    sender: HostId,
+    /// The static walk's per-host copy counts.
+    predicted: BTreeMap<HostId, u32>,
+    /// The header-stripped bytes every host copy must equal.
+    expected_bytes: Vec<u8>,
+    /// What the replay delivered for this sample's packet.
+    delivered: Vec<(HostId, Vec<u8>)>,
 }

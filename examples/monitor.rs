@@ -54,7 +54,7 @@ fn main() {
         .remove(0);
     let injected = pkt.clone();
 
-    let (deliveries, trace) = fabric.inject_traced(HostId(0), pkt);
+    let (deliveries, trace) = fabric.inject_traced([(HostId(0), pkt)], 1);
 
     println!("multicast traceroute for group {group} from H0:\n");
     for hop in &trace {

@@ -47,7 +47,7 @@ fn traced_transmission() -> (Vec<(HostId, Vec<u8>)>, Vec<elmo::dataplane::HopRec
         SenderFlow::new(state.outer_addr, Vni(8), &header, ctl.layout(), vec![]),
     );
     let pkt = hv.send(Vni(8), group, b"trace me", ctl.layout()).remove(0);
-    fabric.inject_traced(HostId(0), pkt)
+    fabric.inject_traced([(HostId(0), pkt)], 1)
 }
 
 #[test]
@@ -189,4 +189,27 @@ fn tracing_off_is_a_no_op() {
         plain_fab.take_tree_trace().is_empty(),
         "untraced run recorded events"
     );
+}
+
+#[test]
+fn trace_session_numbers_packets_across_replays() {
+    // Two single injections and one two-packet batch in one session: a
+    // running offset gives the four packets four distinct indices, each
+    // with its own copy tree.
+    let (topo, mut fabric, pkt) = tree_fixture();
+    fabric.start_tree_trace();
+    fabric.inject_flight(HostId(0), pkt.clone());
+    fabric.inject_flight(HostId(0), pkt.clone());
+    let mut out = elmo::dataplane::DeliveryBatch::new();
+    fabric.replay_flights_sharded(&[(HostId(0), pkt.clone()), (HostId(0), pkt)], 2, &mut out);
+    let events = fabric.take_tree_trace();
+    let indices: std::collections::BTreeSet<u32> = events.iter().map(|e| e.pkt).collect();
+    assert_eq!(indices, (0..4).collect(), "packet indices collided");
+    let label = |n| elmo::dataplane::trace_node_label(&topo, n);
+    let first = elmo::obs::CopyTree::build(0, &events, label);
+    for p in 0..4 {
+        let tree = elmo::obs::CopyTree::build(p, &events, label);
+        assert_eq!(tree.nodes.len(), first.nodes.len(), "packet {p}'s tree");
+        assert_eq!(tree.leaf_hosts(), first.leaf_hosts(), "packet {p}'s hosts");
+    }
 }

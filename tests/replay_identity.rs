@@ -1,18 +1,21 @@
-//! Byte-identity golden tests for the zero-copy replay fast path.
+//! Byte-identity golden tests for the replay engine.
 //!
-//! `Fabric::inject` (flight form: parse once, forward structs, materialize
-//! at delivery) must be observationally indistinguishable from
-//! `Fabric::inject_reference` (the pre-change encode-per-hop path, kept
-//! in-tree as the reference): identical `(HostId, Vec<u8>)` deliveries in
-//! identical order, identical per-switch `SwitchStats`, and identical
-//! per-tier link-byte counters — on the paper's Figure 3 end-to-end
-//! scenario as well as s-rule and default-p-rule encodings.
+//! Every `Fabric` entry point (parse once, forward structs, materialize
+//! at delivery) must be observationally indistinguishable from the
+//! `elmo::dataplane::reference` oracle (the encode-per-hop byte loop):
+//! identical `(HostId, Vec<u8>)` deliveries in identical order, identical
+//! per-switch `SwitchStats`, identical per-tier link-byte counters, and
+//! identical capture and hop records — on the paper's Figure 3 end-to-end
+//! scenario as well as s-rule and default-p-rule encodings, at every
+//! worker count.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use elmo::core::{encode_group, header_for_sender, EncoderConfig, HeaderLayout};
-use elmo::dataplane::{Fabric, HypervisorSwitch, SenderFlow, SwitchConfig};
+use elmo::dataplane::{
+    reference, DeliveryBatch, Fabric, HypervisorSwitch, SenderFlow, SwitchConfig,
+};
 use elmo::net::vxlan::Vni;
 use elmo::topology::{Clos, GroupTree, HostId, LeafId, PodId, UpstreamCover};
 
@@ -187,7 +190,7 @@ fn assert_paths_identical(s: &Scenario, what: &str) {
     for &sender in &MEMBERS {
         for pkt in sender_packets(s, sender, 3) {
             let d_fast = fast.inject(sender, pkt.clone());
-            let d_ref = reference.inject_reference(sender, pkt);
+            let d_ref = reference::inject(&mut reference, sender, pkt).deliveries;
             assert_eq!(d_fast, d_ref, "{what}: deliveries diverged");
             assert!(!d_fast.is_empty(), "{what}: scenario delivered nothing");
         }
@@ -227,7 +230,7 @@ fn unicast_fast_path_is_byte_identical_to_reference() {
             .remove(0);
         assert_eq!(pa, pb);
         let d_fast = fast.inject(HostId(0), pa);
-        let d_ref = reference.inject_reference(HostId(0), pb);
+        let d_ref = reference::inject(&mut reference, HostId(0), pb).deliveries;
         assert_eq!(d_fast, d_ref);
         assert_eq!(d_fast[0].0, target);
     }
@@ -247,7 +250,7 @@ fn inject_batch_matches_sequential_injects() {
             batch.push((sender, pkt));
         }
     }
-    let got = batched.inject_batch(batch);
+    let got = batched.inject_batch(batch, 1);
     assert_eq!(got, expected);
     assert_fabrics_identical(&one_by_one, &batched, "batch");
 }
@@ -316,11 +319,9 @@ fn capture_is_identical_and_restartable() {
 
     // Session 1: both paths capture the same wire copies in the same order.
     fast.start_capture(1024);
-    reference.start_capture(1024);
     fast.inject(HostId(0), pkts[0].clone());
-    reference.inject_reference(HostId(0), pkts[0].clone());
     let cap_fast = fast.take_capture();
-    let cap_ref = reference.take_capture();
+    let cap_ref = reference::inject(&mut reference, HostId(0), pkts[0].clone()).wire;
     assert!(!cap_fast.is_empty());
     assert_eq!(cap_fast, cap_ref, "captured copies diverged");
 
@@ -353,16 +354,15 @@ fn failed_switch_behaves_identically_on_both_paths() {
     }
     for pkt in sender_packets(&s, HostId(0), 3) {
         let d_fast = fast.inject(HostId(0), pkt.clone());
-        let d_ref = reference.inject_reference(HostId(0), pkt);
+        let d_ref = reference::inject(&mut reference, HostId(0), pkt).deliveries;
         assert_eq!(d_fast, d_ref, "deliveries diverged under failure");
     }
     assert_fabrics_identical(&fast, &reference, "failed-core");
 }
 
-/// Sort a delivery vector into the sharded engine's canonical per-packet
-/// order. `inject_batch` returns deliveries grouped by injection already,
-/// so tagging each packet's slice and sorting within it yields exactly
-/// what `inject_batch_sharded` promises.
+/// One packet at a time through `inject`, each packet's deliveries sorted
+/// into the canonical per-packet order — what a batch replay promises at
+/// any worker count.
 fn canonicalize_serial(fabric: &mut Fabric, batch: &[(HostId, Vec<u8>)]) -> Vec<(HostId, Vec<u8>)> {
     let mut out = Vec::new();
     for (sender, pkt) in batch {
@@ -373,9 +373,21 @@ fn canonicalize_serial(fabric: &mut Fabric, batch: &[(HostId, Vec<u8>)]) -> Vec<
     out
 }
 
-/// Drive one scenario's batch through `inject_batch` (serial flight path)
-/// and `inject_batch_sharded` at several shard counts: the delivery set
-/// (canonical order) and every merged counter must match exactly.
+/// Replay a flight batch on `workers` workers, deliveries materialized in
+/// canonical order.
+fn replay_vec(
+    fabric: &mut Fabric,
+    flights: &[(HostId, elmo::dataplane::FlightPacket)],
+    workers: usize,
+) -> Vec<(HostId, Vec<u8>)> {
+    let mut out = DeliveryBatch::new();
+    fabric.replay_flights_sharded(flights, workers, &mut out);
+    out.to_vec()
+}
+
+/// Drive one scenario's batch through per-packet `inject` and through
+/// `inject_batch` at several worker counts: the delivery set (canonical
+/// order) and every merged counter must match exactly.
 fn assert_sharded_identical(s: &Scenario, what: &str) {
     let mut batch = Vec::new();
     for &sender in &MEMBERS {
@@ -388,7 +400,7 @@ fn assert_sharded_identical(s: &Scenario, what: &str) {
     assert!(!expected.is_empty(), "{what}: scenario delivered nothing");
     for shards in [1usize, 2, 4, 8] {
         let mut sharded = build_fabric(s);
-        let got = sharded.inject_batch_sharded(batch.clone(), shards);
+        let got = sharded.inject_batch(batch.clone(), shards);
         assert_eq!(
             got, expected,
             "{what}: sharded({shards}) delivery set diverged"
@@ -403,7 +415,7 @@ fn assert_sharded_identical(s: &Scenario, what: &str) {
         let expected = canonicalize_serial(&mut serial, small);
         for shards in [1usize, 2, 4, 8] {
             let mut sharded = build_fabric(s);
-            let got = sharded.inject_batch_sharded(small.to_vec(), shards);
+            let got = sharded.inject_batch(small.to_vec(), shards);
             assert_eq!(
                 got, expected,
                 "{what}: sharded({shards}) delivery set diverged on {len} packets"
@@ -472,8 +484,8 @@ fn sharded_flights_match_sharded_bytes() {
     }
     let mut from_bytes = build_fabric(&s);
     let mut from_flights = build_fabric(&s);
-    let d_bytes = from_bytes.inject_batch_sharded(byte_batch, 4);
-    let d_flights = from_flights.inject_flights_sharded(&flight_batch, 4);
+    let d_bytes = from_bytes.inject_batch(byte_batch, 4);
+    let d_flights = replay_vec(&mut from_flights, &flight_batch, 4);
     assert_eq!(d_bytes, d_flights, "flight/byte sharded paths diverged");
     assert!(!d_bytes.is_empty());
     assert_fabrics_identical(&from_bytes, &from_flights, "sharded flight vs bytes");
@@ -498,7 +510,7 @@ fn sharded_replay_respects_failed_switches() {
     for shards in [2usize, 4] {
         let mut sharded = build_fabric(&s);
         fail(&mut sharded);
-        let got = sharded.inject_batch_sharded(batch.clone(), shards);
+        let got = sharded.inject_batch(batch.clone(), shards);
         assert_eq!(got, expected, "sharded({shards}) under failure diverged");
         assert_fabrics_identical(&serial, &sharded, "sharded failed-core");
     }
@@ -515,7 +527,7 @@ fn sharded_replay_is_deterministic_across_runs_and_shard_counts() {
                 batch.push((sender, pkt));
             }
         }
-        let out = fabric.inject_batch_sharded(batch, shards);
+        let out = fabric.inject_batch(batch, shards);
         (out, fabric.stats)
     };
     let (d2a, s2a) = run(2);
@@ -570,11 +582,12 @@ fn assert_traced_identical(s: &Scenario, what: &str) {
     }
     // Untraced canonical deliveries: the baseline tracing must not change.
     let mut plain = build_fabric(s);
-    let expected = plain.inject_flights_sharded(&batch, 1);
+    let expected = replay_vec(&mut plain, &batch, 1);
     assert!(!expected.is_empty(), "{what}: scenario delivered nothing");
 
-    // Serial traced run: packet index = injection order, so its events
-    // are directly comparable with the sharded engine's batch indices.
+    // One injection at a time in one session: the running packet offset
+    // numbers them in injection order, so their events are directly
+    // comparable with one batch's indices.
     let mut serial = build_fabric(s);
     serial.start_tree_trace();
     for (sender, flight) in &batch {
@@ -586,7 +599,7 @@ fn assert_traced_identical(s: &Scenario, what: &str) {
     for shards in [1usize, 2, 4, 8] {
         let mut traced = build_fabric(s);
         traced.start_tree_trace();
-        let got = traced.inject_flights_sharded(&batch, shards);
+        let got = replay_vec(&mut traced, &batch, shards);
         assert_eq!(
             got, expected,
             "{what}: tracing changed deliveries at {shards} shards"
@@ -609,7 +622,7 @@ fn assert_traced_identical(s: &Scenario, what: &str) {
     for len in SMALL_BATCHES {
         let small = &batch[..len];
         let mut plain = build_fabric(s);
-        let expected = plain.inject_flights_sharded(small, 1);
+        let expected = replay_vec(&mut plain, small, 1);
         let mut serial = build_fabric(s);
         serial.start_tree_trace();
         for (sender, flight) in small {
@@ -619,7 +632,7 @@ fn assert_traced_identical(s: &Scenario, what: &str) {
         for shards in [1usize, 2, 4, 8] {
             let mut traced = build_fabric(s);
             traced.start_tree_trace();
-            let got = traced.inject_flights_sharded(small, shards);
+            let got = replay_vec(&mut traced, small, shards);
             assert_eq!(
                 got, expected,
                 "{what}: tracing changed deliveries at {shards} shards on {len} packets"
@@ -642,8 +655,9 @@ fn assert_traced_identical(s: &Scenario, what: &str) {
 /// engine (`replay_flights_sharded` through one *reused* `DeliveryBatch`,
 /// materialized via the zero-copy `for_each` the bench times) must match
 /// the encode-per-hop reference path byte for byte at 1/2/4/8 shards,
-/// with tracing enabled as well as disabled. The serial flight path is
-/// the middle leg — its equality with both ends pins all three.
+/// with tracing enabled as well as disabled. Per-packet `inject` from
+/// wire bytes is the middle leg — its equality with both ends pins all
+/// three.
 fn assert_batched_matches_reference(s: &Scenario, what: &str) {
     let mut wire_batch = Vec::new();
     let mut flights = Vec::new();
@@ -662,12 +676,12 @@ fn assert_batched_matches_reference(s: &Scenario, what: &str) {
     let mut reference = build_fabric(s);
     let mut expected = Vec::new();
     for (sender, pkt) in &wire_batch {
-        let mut per_pkt = reference.inject_reference(*sender, pkt.clone());
+        let mut per_pkt = reference::inject(&mut reference, *sender, pkt.clone()).deliveries;
         per_pkt.sort_unstable_by(|a, b| ((a.0).0, &a.1).cmp(&((b.0).0, &b.1)));
         expected.extend(per_pkt);
     }
     assert!(!expected.is_empty(), "{what}: scenario delivered nothing");
-    // Scalar leg.
+    // Per-packet leg.
     let mut serial = build_fabric(s);
     let scalar = canonicalize_serial(&mut serial, &wire_batch);
     assert_eq!(scalar, expected, "{what}: scalar != reference");
@@ -739,8 +753,8 @@ fn garbage_bytes_count_parse_drop_on_ingress_leaf() {
     let mut fast = Fabric::new(topo, SwitchConfig::default());
     let mut reference = Fabric::new(topo, SwitchConfig::default());
     assert!(fast.inject(HostId(0), vec![0u8; 24]).is_empty());
-    assert!(reference
-        .inject_reference(HostId(0), vec![0u8; 24])
+    assert!(reference::inject(&mut reference, HostId(0), vec![0u8; 24])
+        .deliveries
         .is_empty());
     assert_eq!(fast.leaf(LeafId(0)).stats.dropped_parse, 1);
     assert_fabrics_identical(&fast, &reference, "garbage");
@@ -748,8 +762,122 @@ fn garbage_bytes_count_parse_drop_on_ingress_leaf() {
     for shards in [1usize, 4] {
         let mut sharded = Fabric::new(topo, SwitchConfig::default());
         assert!(sharded
-            .inject_batch_sharded([(HostId(0), vec![0u8; 24])], shards)
+            .inject_batch([(HostId(0), vec![0u8; 24])], shards)
             .is_empty());
         assert_fabrics_identical(&sharded, &reference, "garbage, sharded");
+    }
+}
+
+/// The oracle's records for a byte batch, packet by packet: every wire
+/// copy and every hop record, concatenated in batch order.
+fn oracle_records(
+    fabric: &mut Fabric,
+    batch: &[(HostId, Vec<u8>)],
+) -> (Vec<Vec<u8>>, Vec<elmo::dataplane::HopRecord>) {
+    let mut wire = Vec::new();
+    let mut hops = Vec::new();
+    for (sender, pkt) in batch {
+        let run = reference::inject(fabric, *sender, pkt.clone());
+        wire.extend(run.wire);
+        hops.extend(run.hops);
+    }
+    (wire, hops)
+}
+
+/// Capture and hop tracing are views of the engine's copy-tree events,
+/// so they run on the workers: at 1/2/4 workers a capture session and an
+/// `inject_traced` batch must equal the oracle's wire-copy and hop
+/// records in content and order, and each other.
+fn assert_sessions_match_oracle(s: &Scenario, fail: fn(&mut Fabric), what: &str) {
+    let mut batch = Vec::new();
+    for &sender in &MEMBERS {
+        for pkt in sender_packets(s, sender, 2) {
+            batch.push((sender, pkt));
+        }
+    }
+    let mut oracle = build_fabric(s);
+    fail(&mut oracle);
+    let (wire, hops) = oracle_records(&mut oracle, &batch);
+    assert!(!hops.is_empty(), "{what}: oracle recorded no hops");
+    let mut first: Option<(Vec<Vec<u8>>, Vec<elmo::dataplane::HopRecord>)> = None;
+    for workers in [1usize, 2, 4] {
+        let mut captured = build_fabric(s);
+        fail(&mut captured);
+        captured.start_capture(usize::MAX);
+        captured.inject_batch(batch.clone(), workers);
+        let got_wire = captured.take_capture();
+        assert_eq!(
+            got_wire, wire,
+            "{what}: capture at {workers} workers != oracle"
+        );
+        assert_fabrics_identical(&oracle, &captured, &format!("{what}: capture({workers})"));
+
+        let mut traced = build_fabric(s);
+        fail(&mut traced);
+        let (_, got_hops) = traced.inject_traced(batch.clone(), workers);
+        assert_eq!(
+            got_hops, hops,
+            "{what}: hop records at {workers} workers != oracle"
+        );
+        assert_fabrics_identical(&oracle, &traced, &format!("{what}: traced({workers})"));
+
+        match &first {
+            None => first = Some((got_wire, got_hops)),
+            Some((w1, h1)) => {
+                assert_eq!(&got_wire, w1, "{what}: capture at {workers} != 1 worker");
+                assert_eq!(&got_hops, h1, "{what}: hops at {workers} != 1 worker");
+            }
+        }
+    }
+}
+
+fn no_failure(_: &mut Fabric) {}
+
+fn fail_cores(f: &mut Fabric) {
+    f.fail_core(elmo::topology::CoreId(0));
+    f.fail_core(elmo::topology::CoreId(1));
+}
+
+#[test]
+fn figure3_capture_and_hops_match_oracle_at_all_worker_counts() {
+    assert_sessions_match_oracle(&figure3_scenario(), no_failure, "figure3");
+}
+
+#[test]
+fn srule_capture_and_hops_match_oracle_at_all_worker_counts() {
+    assert_sessions_match_oracle(&srule_scenario(), no_failure, "srule");
+}
+
+#[test]
+fn failed_core_capture_and_hops_match_oracle_at_all_worker_counts() {
+    assert_sessions_match_oracle(&figure3_scenario(), fail_cores, "failed-core");
+}
+
+/// A garbage packet never reaches the engine, but its raw bytes were put
+/// on the host link, so the capture still records them — between the
+/// copies of its neighbours, exactly where the oracle's wire record has
+/// them.
+#[test]
+fn capture_records_garbage_ingress_bytes_in_order() {
+    let s = figure3_scenario();
+    let pkts = sender_packets(&s, HostId(0), 2);
+    let batch = vec![
+        (HostId(0), pkts[0].clone()),
+        (HostId(0), vec![0u8; 24]),
+        (HostId(0), pkts[1].clone()),
+    ];
+    let mut oracle = build_fabric(&s);
+    let (wire, _) = oracle_records(&mut oracle, &batch);
+    assert!(wire.contains(&vec![0u8; 24]));
+    for workers in [1usize, 2, 4] {
+        let mut f = build_fabric(&s);
+        f.start_capture(usize::MAX);
+        f.inject_batch(batch.clone(), workers);
+        assert_eq!(
+            f.take_capture(),
+            wire,
+            "garbage capture at {workers} workers"
+        );
+        assert_fabrics_identical(&oracle, &f, &format!("garbage capture({workers})"));
     }
 }
