@@ -8,8 +8,6 @@
 //!   --groups N        workload size (default: scaled to the fabric, capped at 20,000)
 //!   --threads LIST    comma-separated thread counts (default 1,2,8)
 //!   --r LIST          redundancy limits per sweep (default 0,6,12)
-//!   --cache on|off    encoding memoization in the timed sweeps (default on)
-//!   --require-cache-hits  exit nonzero if the workload produces no cache hits
 //!   --out PATH        output file (default BENCH_encode.json)
 //!   --replay-packets N    packets for the data-plane replay bench (default 20,000)
 //!   --replay-payload N    inner-frame bytes per replay packet (default 1,500)
@@ -42,8 +40,7 @@
 //! `skipped_thread_counts`) and every executed run carries `cpus_available`
 //! and `oversubscribed: false` — the scaling rows never mix in scheduler
 //! contention. The sweep results themselves are asserted identical across
-//! thread counts before timings are reported, and a dedicated cold-vs-warm
-//! cache pass reports the memoization hit rate.
+//! thread counts before timings are reported.
 //!
 //! The replay bench drives a fixed-seed packet workload through the
 //! paper-example [`Fabric`] two ways — the per-hop re-serializing
@@ -66,12 +63,11 @@ use std::net::Ipv4Addr;
 use std::time::Instant;
 
 use elmo_controller::{Controller, ControllerConfig, GroupId, MemberRole};
-use elmo_core::{approx_min_k_union_with, EncodeCache, MinKUnionScratch, PortBitmap, SplitMix64};
+use elmo_core::{approx_min_k_union_with, MinKUnionScratch, PortBitmap, SplitMix64};
 use elmo_dataplane::{
     reference, DeliveryBatch, Fabric, FlightPacket, HypervisorSwitch, SenderFlow, SwitchConfig,
 };
 use elmo_net::vxlan::Vni;
-use elmo_sim::sweep::SweepResult;
 use elmo_sim::{sweep, SweepConfig};
 use elmo_topology::{Clos, HostId, LeafId, PodId};
 use elmo_workloads::{GroupSizeDist, WorkloadConfig};
@@ -80,8 +76,6 @@ struct Args {
     groups: Option<usize>,
     threads: Vec<usize>,
     r_values: Vec<usize>,
-    cache: bool,
-    require_cache_hits: bool,
     out: String,
     replay_packets: usize,
     replay_payload: usize,
@@ -103,8 +97,6 @@ fn parse_args() -> Args {
         groups: None,
         threads: vec![1, 2, 8],
         r_values: vec![0, 6, 12],
-        cache: true,
-        require_cache_hits: false,
         out: "BENCH_encode.json".into(),
         replay_packets: 20_000,
         // The paper's traffic figures use 1,500-byte payloads; the replay
@@ -143,17 +135,6 @@ fn parse_args() -> Args {
             "--groups" => out.groups = num_list("--groups").first().copied(),
             "--threads" => out.threads = num_list("--threads"),
             "--r" => out.r_values = num_list("--r"),
-            "--cache" => {
-                out.cache = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => {
-                        elmo_obs::error!("usage", msg = "--cache needs on|off");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--require-cache-hits" => out.require_cache_hits = true,
             "--out" => {
                 out.out = args.next().unwrap_or_else(|| {
                     elmo_obs::error!("usage", msg = "--out needs a path");
@@ -248,20 +229,12 @@ struct SweepRun {
     groups_per_sec: f64,
 }
 
-/// The benchmark fabric and workload, shared by the timed sweeps and the
-/// cold/warm cache pass so their rows are comparable bit-for-bit.
-fn bench_config(args: &Args) -> (Clos, WorkloadConfig, SweepConfig) {
+fn bench_sweep(args: &Args) -> (Clos, WorkloadConfig, Vec<SweepRun>) {
     let topo = Clos::scaled_fabric(6, 24, 16); // 2,304 hosts
     let mut wl = WorkloadConfig::scaled(&topo, 12, GroupSizeDist::Wve);
     wl.total_groups = args.groups.unwrap_or(wl.total_groups.min(20_000));
     let mut cfg = SweepConfig::paper(topo, wl);
     cfg.r_values = args.r_values.clone();
-    cfg.cache = args.cache;
-    (topo, wl, cfg)
-}
-
-fn bench_sweep(args: &Args) -> (Clos, WorkloadConfig, Vec<SweepRun>, SweepResult) {
-    let (topo, wl, mut cfg) = bench_config(args);
 
     let mut runs = Vec::new();
     let mut reference = None;
@@ -292,59 +265,7 @@ fn bench_sweep(args: &Args) -> (Clos, WorkloadConfig, Vec<SweepRun>, SweepResult
             groups_per_sec: encodes / secs,
         });
     }
-    let reference = reference.expect("at least one thread count benchmarked");
-    (topo, wl, runs, reference)
-}
-
-struct CacheBench {
-    hits: u64,
-    misses: u64,
-    cold_wall_ms: f64,
-    warm_wall_ms: f64,
-}
-
-/// Cold-vs-warm memoization pass: run the single-threaded sweep twice
-/// against one persistent [`EncodeCache`]. The cold run pays every
-/// clustering; the warm rerun should hit on every layer. Rows from both
-/// runs are asserted bit-identical to the timed sweeps' reference.
-fn bench_cache(args: &Args, reference: &SweepResult) -> CacheBench {
-    let (_, _, mut cfg) = bench_config(args);
-    cfg.threads = 1;
-    let counter = |name: &str| elmo_obs::snapshot().counter(name).unwrap_or(0);
-    let (hit0, miss0) = (counter("encode.cache_hit"), counter("encode.cache_miss"));
-    let mut cache = EncodeCache::new();
-
-    let start = Instant::now();
-    let cold = sweep::run_with_cache(&cfg, &mut cache);
-    let cold_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        reference.rows, cold.rows,
-        "cached sweep diverged from the timed reference"
-    );
-
-    let start = Instant::now();
-    let warm = sweep::run_with_cache(&cfg, &mut cache);
-    let warm_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        reference.rows, warm.rows,
-        "warm cached sweep diverged from the timed reference"
-    );
-
-    let hits = counter("encode.cache_hit") - hit0;
-    let misses = counter("encode.cache_miss") - miss0;
-    elmo_obs::info!(
-        "bench.cache",
-        hits = hits,
-        misses = misses,
-        cold_wall_ms = cold_ms,
-        warm_wall_ms = warm_ms
-    );
-    CacheBench {
-        hits,
-        misses,
-        cold_wall_ms: cold_ms,
-        warm_wall_ms: warm_ms,
-    }
+    (topo, wl, runs)
 }
 
 /// Time the clustering kernel on synthetic layer inputs shaped like a busy
@@ -675,10 +596,9 @@ fn phase_entries(snap: &elmo_obs::Snapshot) -> Vec<String> {
     entries
 }
 
-/// Run the encode sweep + cache + MIN-K-UNION benches and write `args.out`.
+/// Run the encode sweep + MIN-K-UNION benches and write `args.out`.
 fn run_encode_bench(args: &Args, cpus: usize, skipped: &[usize]) {
-    let (topo, wl, runs, reference) = bench_sweep(args);
-    let cache = bench_cache(args, &reference);
+    let (topo, wl, runs) = bench_sweep(args);
     let (mku_calls, mku_ms, mku_rate) = bench_min_k_union();
     let (verify_groups, verify_ms, verify_rate) = bench_verify();
 
@@ -700,29 +620,14 @@ fn run_encode_bench(args: &Args, cpus: usize, skipped: &[usize]) {
     let skipped_list: Vec<String> = skipped.iter().map(|t| t.to_string()).collect();
     let snap = elmo_obs::snapshot();
     let phases = phase_entries(&snap);
-    let hit_rate = if cache.hits + cache.misses > 0 {
-        cache.hits as f64 / (cache.hits + cache.misses) as f64
-    } else {
-        f64::NAN
-    };
-    let cache_json = format!(
-        "{{\"enabled\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"cold_wall_ms\": {}, \"warm_wall_ms\": {}}}",
-        args.cache,
-        cache.hits,
-        cache.misses,
-        json_f(hit_rate),
-        json_f(cache.cold_wall_ms),
-        json_f(cache.warm_wall_ms),
-    );
     let json = format!(
-        "{{\n  \"bench\": \"elmo encode sweep\",\n  \"fabric_hosts\": {},\n  \"groups\": {},\n  \"r_values\": [{}],\n  \"cpus_available\": {},\n  \"parallel_speedup_valid\": true,\n  \"skipped_thread_counts\": [{}],\n  \"runs\": [\n{}\n  ],\n  \"cache\": {},\n  \"phases\": [\n{}\n  ],\n  \"min_k_union\": {{\"calls\": {}, \"wall_ms\": {}, \"calls_per_sec\": {}}},\n  \"verify\": {{\"groups\": {}, \"wall_ms\": {}, \"groups_per_sec\": {}}}\n}}\n",
+        "{{\n  \"bench\": \"elmo encode sweep\",\n  \"fabric_hosts\": {},\n  \"groups\": {},\n  \"r_values\": [{}],\n  \"cpus_available\": {},\n  \"skipped_thread_counts\": [{}],\n  \"runs\": [\n{}\n  ],\n  \"phases\": [\n{}\n  ],\n  \"min_k_union\": {{\"calls\": {}, \"wall_ms\": {}, \"calls_per_sec\": {}}},\n  \"verify\": {{\"groups\": {}, \"wall_ms\": {}, \"groups_per_sec\": {}}}\n}}\n",
         topo.num_hosts(),
         wl.total_groups,
         r_list.join(", "),
         cpus,
         skipped_list.join(", "),
         speedups.join(",\n"),
-        cache_json,
         phases.join(",\n"),
         mku_calls,
         json_f(mku_ms),
@@ -732,13 +637,6 @@ fn run_encode_bench(args: &Args, cpus: usize, skipped: &[usize]) {
         json_f(verify_rate),
     );
     std::fs::write(&args.out, &json).expect("write bench output");
-    if args.require_cache_hits && cache.hits == 0 {
-        elmo_obs::error!(
-            "bench.no_cache_hits",
-            msg = "--require-cache-hits: tenant workload produced zero encode cache hits"
-        );
-        std::process::exit(1);
-    }
     elmo_obs::info!("bench.wrote", path = args.out.as_str());
 }
 

@@ -20,17 +20,16 @@
 //!   including the subtle coupling where a refused *spine* allocation grows
 //!   the spine default rule and thereby shrinks the leaf layer's bit budget.
 //!
-//! The result is byte-identical to a serial group-by-group encode at any
-//! thread count; the determinism test in `tests/parallel_determinism.rs`
-//! checks this on both unlimited and capacity-limited configurations.
+//! The two drivers of this loop are [`crate::Controller::create_groups_batch`]
+//! and `elmo_sim::sweep`. Both are byte-identical to a serial group-by-group
+//! encode at any thread count: `batch_create_matches_sequential_create`
+//! (controller unit test) and `tests/parallel_determinism.rs` check this on
+//! unlimited and capacity-limited configurations.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-use elmo_core::{
-    encode_group_with, CacheOutcome, CacheShard, EncodeCache, EncodeScratch, EncoderConfig,
-    GroupEncoding,
-};
+use elmo_core::{encode_group_with, EncodeScratch, EncoderConfig, GroupEncoding};
 use elmo_topology::{Clos, GroupTree, LeafId, PodId};
 
 use crate::srules::SRuleSpace;
@@ -44,8 +43,6 @@ pub(crate) struct BatchMetrics {
     pub(crate) optimistic_encodes: elmo_obs::Counter,
     pub(crate) admitted: elmo_obs::Counter,
     pub(crate) reencoded: elmo_obs::Counter,
-    pub(crate) cache_hit: elmo_obs::Counter,
-    pub(crate) cache_miss: elmo_obs::Counter,
 }
 
 pub(crate) fn metrics() -> &'static BatchMetrics {
@@ -55,8 +52,6 @@ pub(crate) fn metrics() -> &'static BatchMetrics {
         optimistic_encodes: elmo_obs::counter("controller.batch.optimistic_encodes"),
         admitted: elmo_obs::counter("controller.batch.admitted"),
         reencoded: elmo_obs::counter("controller.batch.reencoded"),
-        cache_hit: elmo_obs::counter("encode.cache_hit"),
-        cache_miss: elmo_obs::counter("encode.cache_miss"),
     })
 }
 
@@ -90,51 +85,6 @@ pub fn encode_group_optimistic(
         true
     };
     encode_group_with(topo, tree, cfg, &mut spine_alloc, &mut leaf_alloc, scratch)
-}
-
-/// Derive the s-rule request sequence of an *optimistic* encoding from the
-/// encoding itself (cleared into `reqs`).
-///
-/// With every allocation granted, Algorithm 1 only calls the allocator in
-/// its final fallback loop — once per s-rule, in ascending input order,
-/// spine layer before leaf layer — so the recorded request sequence is
-/// exactly the encoding's `s_rules` lists in order. This lets the cached
-/// phase-1 path skip the callback plumbing entirely; equality with the
-/// callback-recorded sequence is pinned by a test below.
-pub fn optimistic_reqs(enc: &GroupEncoding, reqs: &mut Vec<SRuleReq>) {
-    reqs.clear();
-    reqs.extend(
-        enc.d_spine
-            .s_rules
-            .iter()
-            .map(|(p, _)| SRuleReq::Pod(PodId(*p))),
-    );
-    reqs.extend(
-        enc.d_leaf
-            .s_rules
-            .iter()
-            .map(|(l, _)| SRuleReq::Leaf(LeafId(*l))),
-    );
-}
-
-/// Phase 1 through the structural encoding cache: optimistic encode (served
-/// from `base`/`shard` on a signature hit) plus the derived request
-/// sequence. Outcomes accumulate in `outcomes` for phase-2 accounting.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_group_optimistic_cached(
-    topo: &Clos,
-    tree: &GroupTree,
-    cfg: &EncoderConfig,
-    scratch: &mut EncodeScratch,
-    base: &EncodeCache,
-    shard: &mut CacheShard,
-    outcomes: &mut Vec<CacheOutcome>,
-    reqs: &mut Vec<SRuleReq>,
-) -> GroupEncoding {
-    let enc =
-        elmo_core::encode_group_optimistic_cached(topo, tree, cfg, scratch, base, shard, outcomes);
-    optimistic_reqs(&enc, reqs);
-    enc
 }
 
 /// Phase 2 admission: try to reserve every recorded request, in order.
@@ -176,206 +126,9 @@ pub fn encode_group_admitted(
     encode_group_with(topo, tree, cfg, &mut spine_alloc, &mut leaf_alloc, scratch)
 }
 
-/// Outcome of [`encode_batch`] / [`encode_batch_cached`].
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// One encoding per input tree, in input order.
-    pub encodings: Vec<GroupEncoding>,
-    /// How many groups failed optimistic admission and were re-encoded
-    /// serially (0 whenever `Fmax` is unlimited).
-    pub reencoded: usize,
-    /// Structural-cache layer hits this batch (serial-order accounting,
-    /// identical at any thread count).
-    pub cache_hits: u64,
-    /// Structural-cache layer misses this batch.
-    pub cache_misses: u64,
-}
-
-/// Encode a batch of group trees with the two-phase pipeline, reusing (and
-/// extending) a caller-held structural encoding cache across batches. The
-/// final `srules` occupancy and every returned encoding are byte-identical
-/// to encoding the trees one by one in slice order on a single thread with
-/// no cache; the `encode.cache_hit` / `encode.cache_miss` counters are
-/// likewise identical at any thread count (outcomes are replayed in group
-/// order against the frozen pre-batch cache).
-pub fn encode_batch_cached(
-    topo: &Clos,
-    cfg: &EncoderConfig,
-    srules: &mut SRuleSpace,
-    trees: &[GroupTree],
-    threads: usize,
-    cache: &mut EncodeCache,
-) -> BatchOutcome {
-    let m = metrics();
-    m.groups.add(trees.len() as u64);
-
-    let phase1 = {
-        let _span = elmo_obs::span!("batch_optimistic");
-        let base: &EncodeCache = &*cache;
-        elmo_core::parallel_map_with(
-            trees.len(),
-            threads,
-            || {
-                (
-                    EncodeScratch::new(),
-                    Vec::new(),
-                    CacheShard::new(),
-                    Vec::new(),
-                )
-            },
-            |(scratch, reqs, shard, outcomes), i| {
-                let enc = encode_group_optimistic_cached(
-                    topo, &trees[i], cfg, scratch, base, shard, outcomes, reqs,
-                );
-                metrics().optimistic_encodes.inc();
-                (enc, std::mem::take(reqs), std::mem::take(outcomes))
-            },
-        )
-    };
-
-    let _span = elmo_obs::span!("batch_admission");
-    let mut reencoded = 0usize;
-    let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-    let mut scratch = EncodeScratch::new();
-    let encodings = phase1
-        .into_iter()
-        .enumerate()
-        .map(|(i, (enc, reqs, outcomes))| {
-            let (hits, misses) = cache.absorb(outcomes);
-            m.cache_hit.add(hits);
-            m.cache_miss.add(misses);
-            cache_hits += hits;
-            cache_misses += misses;
-            if try_admit(srules, &reqs) {
-                m.admitted.inc();
-                enc
-            } else {
-                reencoded += 1;
-                m.reencoded.inc();
-                encode_group_admitted(topo, &trees[i], cfg, srules, &mut scratch)
-            }
-        })
-        .collect();
-    if reencoded > 0 {
-        elmo_obs::debug!(
-            "batch.reencoded",
-            groups = trees.len(),
-            reencoded = reencoded
-        );
-    }
-    BatchOutcome {
-        encodings,
-        reencoded,
-        cache_hits,
-        cache_misses,
-    }
-}
-
-/// [`encode_batch_cached`] with a throwaway cache — the uncached entry
-/// point (kept for callers that encode one batch and never again).
-pub fn encode_batch(
-    topo: &Clos,
-    cfg: &EncoderConfig,
-    srules: &mut SRuleSpace,
-    trees: &[GroupTree],
-    threads: usize,
-) -> BatchOutcome {
-    encode_batch_cached(topo, cfg, srules, trees, threads, &mut EncodeCache::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elmo_core::{HeaderLayout, SplitMix64};
-    use elmo_topology::HostId;
-
-    fn random_trees(topo: &Clos, n: usize, seed: u64) -> Vec<GroupTree> {
-        let mut rng = SplitMix64::new(seed);
-        (0..n)
-            .map(|_| {
-                let size = rng.range_inclusive(2, 24);
-                let members: Vec<HostId> = (0..size)
-                    .map(|_| HostId(rng.below(topo.num_hosts() as u64) as u32))
-                    .collect();
-                GroupTree::new(topo, members)
-            })
-            .collect()
-    }
-
-    /// Groups big enough that their leaf layers clear the cache's row gate
-    /// ([`elmo_core::sig::CACHE_MIN_ROWS`]), on a fabric wide enough to
-    /// have that many leaves. Each tree appears twice so repeated shapes
-    /// actually occur.
-    fn big_pressed_trees(topo: &Clos, n: usize, seed: u64) -> Vec<GroupTree> {
-        let mut rng = SplitMix64::new(seed);
-        let mut trees: Vec<GroupTree> = (0..n)
-            .map(|_| {
-                let size = rng.range_inclusive(100, 160);
-                let members: Vec<HostId> = (0..size)
-                    .map(|_| HostId(rng.below(topo.num_hosts() as u64) as u32))
-                    .collect();
-                GroupTree::new(topo, members)
-            })
-            .collect();
-        trees.extend(trees.clone());
-        trees
-    }
-
-    fn serial_reference(
-        topo: &Clos,
-        cfg: &EncoderConfig,
-        srules: &mut SRuleSpace,
-        trees: &[GroupTree],
-    ) -> Vec<GroupEncoding> {
-        let mut scratch = EncodeScratch::new();
-        trees
-            .iter()
-            .map(|t| encode_group_admitted(topo, t, cfg, srules, &mut scratch))
-            .collect()
-    }
-
-    #[test]
-    fn optimistic_matches_serial_when_capacity_is_unlimited() {
-        let topo = Clos::paper_example();
-        let layout = HeaderLayout::for_clos(&topo);
-        let cfg = EncoderConfig::with_budget(&layout, 48, 0);
-        let trees = random_trees(&topo, 60, 0xA11C);
-        for threads in [1, 2, 8] {
-            let mut srules = SRuleSpace::unlimited(&topo);
-            let out = encode_batch(&topo, &cfg, &mut srules, &trees, threads);
-            assert_eq!(out.reencoded, 0, "unlimited capacity never re-encodes");
-            let mut ref_srules = SRuleSpace::unlimited(&topo);
-            let reference = serial_reference(&topo, &cfg, &mut ref_srules, &trees);
-            assert_eq!(out.encodings, reference);
-            assert_eq!(srules.leaf_usages(), ref_srules.leaf_usages());
-            assert_eq!(srules.pod_usages(), ref_srules.pod_usages());
-        }
-    }
-
-    #[test]
-    fn capacity_pressure_reencodes_but_stays_identical_to_serial() {
-        let topo = Clos::paper_example();
-        let layout = HeaderLayout::for_clos(&topo);
-        // Tiny header budget spills aggressively into s-rules; tiny Fmax
-        // then forces admission failures and the re-encode path.
-        let cfg = EncoderConfig::with_budget(&layout, 16, 0);
-        let trees = random_trees(&topo, 80, 0xBEE);
-        let mut any_reencoded = false;
-        for threads in [1, 2, 8] {
-            let mut srules = SRuleSpace::new(&topo, 3, 2);
-            let out = encode_batch(&topo, &cfg, &mut srules, &trees, threads);
-            any_reencoded |= out.reencoded > 0;
-            let mut ref_srules = SRuleSpace::new(&topo, 3, 2);
-            let reference = serial_reference(&topo, &cfg, &mut ref_srules, &trees);
-            assert_eq!(out.encodings, reference, "threads={threads}");
-            assert_eq!(srules.leaf_usages(), ref_srules.leaf_usages());
-            assert_eq!(srules.pod_usages(), ref_srules.pod_usages());
-        }
-        assert!(
-            any_reencoded,
-            "test must actually exercise the re-encode path"
-        );
-    }
 
     #[test]
     fn try_admit_rolls_back_on_refusal() {
@@ -391,85 +144,5 @@ mod tests {
         assert_eq!(srules.leaf_usage(LeafId(1)), 0, "rolled back");
         assert_eq!(srules.pod_usage(PodId(0)), 0, "rolled back");
         assert_eq!(srules.leaf_usage(LeafId(0)), 1, "pre-existing kept");
-    }
-
-    #[test]
-    fn derived_reqs_match_callback_recorded_reqs() {
-        // `optimistic_reqs` reconstructs the request sequence from the
-        // encoding; it must equal what the allocation callbacks record.
-        let topo = Clos::paper_example();
-        let layout = HeaderLayout::for_clos(&topo);
-        for budget in [16, 48, 325] {
-            let cfg = EncoderConfig::with_budget(&layout, budget, 0);
-            let trees = random_trees(&topo, 40, 0xD123 + budget as u64);
-            let mut scratch = EncodeScratch::new();
-            let mut recorded = Vec::new();
-            let mut derived = Vec::new();
-            for tree in &trees {
-                let enc = encode_group_optimistic(&topo, tree, &cfg, &mut scratch, &mut recorded);
-                optimistic_reqs(&enc, &mut derived);
-                assert_eq!(derived, recorded);
-            }
-        }
-    }
-
-    #[test]
-    fn cached_batch_is_bit_identical_and_counts_deterministically() {
-        // Wide fabric + big groups: leaf layers span enough leaves to clear
-        // the cache's row gate under a tight header budget.
-        let topo = Clos::scaled_fabric(2, 24, 4);
-        let layout = HeaderLayout::for_clos(&topo);
-        let cfg = EncoderConfig::with_budget(&layout, 48, 6);
-        let trees = big_pressed_trees(&topo, 12, 0xCAC4E);
-        let mut srules = SRuleSpace::unlimited(&topo);
-        let reference = encode_batch(&topo, &cfg, &mut srules, &trees, 1);
-        let mut counts = Vec::new();
-        for threads in [1, 2, 8] {
-            let mut cache = EncodeCache::new();
-            let mut srules = SRuleSpace::unlimited(&topo);
-            let out = encode_batch_cached(&topo, &cfg, &mut srules, &trees, threads, &mut cache);
-            assert_eq!(out.encodings, reference.encodings, "threads={threads}");
-            assert!(!cache.is_empty());
-            counts.push((out.cache_hits, out.cache_misses));
-        }
-        assert_eq!(counts[0], counts[1], "hit/miss counts depend on threads");
-        assert_eq!(counts[0], counts[2], "hit/miss counts depend on threads");
-        let (hits, misses) = counts[0];
-        assert!(hits > 0, "repeated shapes must hit");
-        assert!(misses > 0, "first sight of each shape must miss");
-    }
-
-    #[test]
-    fn warm_cache_carries_across_batches() {
-        let topo = Clos::scaled_fabric(2, 24, 4);
-        let layout = HeaderLayout::for_clos(&topo);
-        let cfg = EncoderConfig::with_budget(&layout, 48, 6);
-        let trees = big_pressed_trees(&topo, 8, 0x77AB);
-        let mut cache = EncodeCache::new();
-        let mut srules = SRuleSpace::unlimited(&topo);
-        let first = encode_batch_cached(&topo, &cfg, &mut srules, &trees, 2, &mut cache);
-        let len_after_first = cache.len();
-        assert!(len_after_first > 0, "first batch must populate the cache");
-        let mut srules = SRuleSpace::unlimited(&topo);
-        let second = encode_batch_cached(&topo, &cfg, &mut srules, &trees, 2, &mut cache);
-        assert_eq!(first.encodings, second.encodings);
-        assert_eq!(cache.len(), len_after_first, "no new shapes on a rerun");
-        assert_eq!(second.cache_misses, 0, "zero misses on a warm rerun");
-        assert_eq!(
-            second.cache_hits,
-            first.cache_hits + first.cache_misses,
-            "every layer hits on a warm rerun"
-        );
-    }
-
-    #[test]
-    fn empty_batch() {
-        let topo = Clos::paper_example();
-        let layout = HeaderLayout::for_clos(&topo);
-        let cfg = EncoderConfig::paper_default(&layout, 12);
-        let mut srules = SRuleSpace::unlimited(&topo);
-        let out = encode_batch(&topo, &cfg, &mut srules, &[], 8);
-        assert!(out.encodings.is_empty());
-        assert_eq!(out.reencoded, 0);
     }
 }

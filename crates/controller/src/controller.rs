@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use elmo_core::{
-    encode_group, header_for_sender, DetHashMap, ElmoHeader, EncodeCache, EncoderConfig,
-    GroupEncoding, HeaderLayout, RedundancyMode,
+    encode_group, header_for_sender, DetHashMap, ElmoHeader, EncoderConfig, GroupEncoding,
+    HeaderLayout, RedundancyMode,
 };
 use elmo_dataplane::MembershipSignal;
 use elmo_net::vxlan::Vni;
@@ -217,9 +217,6 @@ pub struct Controller {
     layout: HeaderLayout,
     encoder: EncoderConfig,
     srules: SRuleSpace,
-    /// Structural encoding cache for the batch pipeline's optimistic
-    /// phase, warm across batches (see `elmo_core::sig`).
-    cache: EncodeCache,
     groups: DetHashMap<GroupId, GroupState>,
     /// Tenant-facing index: (VNI, tenant group address) -> group.
     by_addr: DetHashMap<(Vni, Ipv4Addr), GroupId>,
@@ -245,7 +242,6 @@ impl Controller {
             layout,
             encoder,
             srules: SRuleSpace::new(&topo, config.leaf_fmax, config.spine_fmax),
-            cache: EncodeCache::new(),
             groups: DetHashMap::default(),
             by_addr: DetHashMap::default(),
             next_group_id: 0,
@@ -407,12 +403,10 @@ impl Controller {
     pub fn create_groups_batch(&mut self, specs: &[GroupSpec], threads: usize) {
         let bm = crate::batch::metrics();
         bm.groups.add(specs.len() as u64);
-        // Phase 1 (parallel): member counts, receiver tree, optimistic encode
-        // through the (frozen) structural cache.
+        // Phase 1 (parallel): member counts, receiver tree, optimistic encode.
         let topo = &self.topo;
         let layout = &self.layout;
         let encoder = &self.encoder;
-        let base = &self.cache;
         let delta_enabled = self.delta_enabled;
         let prepared = {
             let _span = elmo_obs::span!("batch_optimistic");
@@ -423,12 +417,10 @@ impl Controller {
                     (
                         elmo_core::EncodeScratch::new(),
                         Vec::new(),
-                        elmo_core::CacheShard::new(),
-                        Vec::new(),
                         crate::delta::DeltaScratch::default(),
                     )
                 },
-                |(scratch, reqs, shard, outcomes, delta_scratch), i| {
+                |(scratch, reqs, delta_scratch), i| {
                     let mut counts: BTreeMap<HostId, MemberCounts> = BTreeMap::new();
                     for &(h, role) in &specs[i].3 {
                         let c = counts.entry(h).or_default();
@@ -440,9 +432,8 @@ impl Controller {
                         }
                     }
                     let tree = Self::receiver_tree(topo, &counts);
-                    let enc = crate::batch::encode_group_optimistic_cached(
-                        topo, &tree, encoder, scratch, base, shard, outcomes, reqs,
-                    );
+                    let enc =
+                        crate::batch::encode_group_optimistic(topo, &tree, encoder, scratch, reqs);
                     crate::batch::metrics().optimistic_encodes.inc();
                     let leaf_parsimonious = delta_enabled
                         && crate::delta::certify_leaf_parsimony(
@@ -453,27 +444,16 @@ impl Controller {
                             &enc,
                             delta_scratch,
                         );
-                    (
-                        counts,
-                        tree,
-                        enc,
-                        std::mem::take(reqs),
-                        std::mem::take(outcomes),
-                        leaf_parsimonious,
-                    )
+                    (counts, tree, enc, std::mem::take(reqs), leaf_parsimonious)
                 },
             )
         };
-        // Phase 2 (sequential, slice order): cache merge + admission + state
-        // install.
+        // Phase 2 (sequential, slice order): admission + state install.
         let _span = elmo_obs::span!("batch_admission");
         let mut scratch = elmo_core::EncodeScratch::new();
         for (spec, prep) in specs.iter().zip(prepared) {
-            let (counts, tree, mut enc, reqs, outcomes, mut leaf_parsimonious) = prep;
+            let (counts, tree, mut enc, reqs, mut leaf_parsimonious) = prep;
             let (id, vni, tenant_addr, _) = spec;
-            let (hits, misses) = self.cache.absorb(outcomes);
-            bm.cache_hit.add(hits);
-            bm.cache_miss.add(misses);
             if crate::batch::try_admit(&mut self.srules, &reqs) {
                 bm.admitted.inc();
             } else {
@@ -1112,9 +1092,21 @@ mod tests {
         for (id, vni, addr, members) in &specs {
             serial.create_group(*id, *vni, *addr, members.iter().copied());
         }
+        // Only this test drives `create_groups_batch` in this binary, so the
+        // counter delta is exactly this batch's re-encodes.
+        let reencoded = || {
+            elmo_obs::snapshot()
+                .counter("controller.batch.reencoded")
+                .unwrap_or(0)
+        };
         for threads in [1, 2, 8] {
             let mut batch = Controller::new(topo, config);
+            let before = reencoded();
             batch.create_groups_batch(&specs, threads);
+            assert!(
+                reencoded() > before,
+                "threads={threads}: inputs must reach the phase-2 re-encode path"
+            );
             assert_eq!(batch.group_count(), serial.group_count());
             assert_eq!(
                 batch.srules().leaf_usages(),

@@ -24,7 +24,7 @@ pub mod failures;
 pub mod srules;
 
 pub use attribution::RuleAttribution;
-pub use batch::{encode_batch, encode_batch_cached, optimistic_reqs, BatchOutcome, SRuleReq};
+pub use batch::SRuleReq;
 pub use controller::{
     Controller, ControllerConfig, GroupId, GroupSpec, GroupState, MemberCounts, MemberRole,
     UpdateSet,

@@ -122,7 +122,7 @@ pub struct ClusterScratch {
     unassigned: Vec<usize>,
     union: PortBitmap,
     /// Input positions sorted by bitmap content (fast-path class grouping).
-    pub(crate) order: Vec<u32>,
+    order: Vec<u32>,
 }
 
 impl ClusterScratch {
@@ -174,18 +174,13 @@ pub fn cluster_layer_with(
 /// keeps Figure 4's traffic overhead within a few percent of ideal at
 /// R = 12, since only header-pressed groups ever pay redundancy.
 ///
-/// Whether the fast path applies — and what it emits, up to relabeling —
-/// depends only on the layer's canonical signature, so the encoding cache
-/// (`crate::sig`) uses this check to skip caching layers that were cheap
-/// to encode in the first place.
-///
 /// Classes are found by sorting input positions by bitmap content into
 /// `order` (caller scratch, no per-call allocation) and chunking the
 /// equal-bitmap runs; members stay in ascending input order via the
 /// position tie-break. Every emitted rule has a distinct minimum switch id
 /// (rules partition the layer's switches), so the final sort fixes one
 /// output order regardless of how the classes were enumerated.
-pub(crate) fn fast_path(
+fn fast_path(
     inputs: &[(u32, PortBitmap)],
     cfg: &ClusterConfig,
     order: &mut Vec<u32>,
@@ -248,7 +243,7 @@ pub(crate) fn fast_path(
 /// Header-pressed: run Algorithm 1's greedy sharing over the whole layer.
 /// The pair-seeded MIN-K-UNION still picks identical bitmaps first (their
 /// union is minimal and costs nothing), so this subsumes the fast path.
-pub(crate) fn cluster_pressed(
+fn cluster_pressed(
     inputs: &[(u32, PortBitmap)],
     cfg: &ClusterConfig,
     srule_alloc: &mut dyn FnMut(u32) -> bool,

@@ -33,7 +33,6 @@ pub mod min_k_union;
 pub mod par;
 pub mod plan;
 pub mod rng;
-pub mod sig;
 pub mod sync;
 
 pub use bitmap::PortBitmap;
@@ -41,18 +40,14 @@ pub use cluster::{
     cluster_layer, cluster_layer_with, ClusterConfig, ClusterScratch, LayerEncoding, RedundancyMode,
 };
 pub use delta::{layer_is_parsimonious, try_patch_layer, PatchRefusal, PatchScratch, Trust};
-pub use det::{DetHashMap, DetHashSet, DetHasher};
+pub use det::{DetHashMap, DetHashSet, DetHasher, SigHasher};
 pub use header::{pop, DownstreamRule, ElmoHeader, HeaderError, UpstreamRule};
 pub use layout::HeaderLayout;
 pub use min_k_union::{approx_min_k_union, approx_min_k_union_with, MinKUnionScratch};
 pub use par::{parallel_map, parallel_map_with, resolve_threads};
 pub use plan::{
-    encode_group, encode_group_optimistic_cached, encode_group_with, header_for_sender,
-    leaf_layer_cfg, EncodeScratch, EncoderConfig, GroupEncoding,
+    encode_group, encode_group_with, header_for_sender, leaf_layer_cfg, EncodeScratch,
+    EncoderConfig, GroupEncoding,
 };
 pub use rng::SplitMix64;
-pub use sig::{
-    cluster_layer_cached, CacheOutcome, CacheShard, CanonicalLayer, EncodeCache, LayerSig,
-    SigHasher, CACHE_MIN_ROWS,
-};
 pub use sync::Stamp;

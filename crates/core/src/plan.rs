@@ -16,7 +16,6 @@ use crate::cluster::{
 };
 use crate::header::{DownstreamRule, ElmoHeader, UpstreamRule};
 use crate::layout::HeaderLayout;
-use crate::sig::{cluster_layer_cached, CacheOutcome, CacheShard, EncodeCache};
 
 /// Tunable parameters of the group encoder.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -279,68 +278,6 @@ pub fn encode_group_with(
             &inputs[..n],
             &leaf_cluster_cfg(&layout, cfg, leaf_bits),
             &mut |leaf| leaf_srule_alloc(LeafId(leaf)),
-            cluster,
-        )
-    } else {
-        LayerEncoding::empty()
-    };
-
-    GroupEncoding { d_spine, d_leaf }
-}
-
-/// Optimistic (capacity-unconstrained) group encode through the structural
-/// encoding cache — the phase-1 fast path of the batch pipeline.
-///
-/// Equivalent to [`encode_group_with`] with allocators that always grant,
-/// but each layer's clustering is served from `base`/`shard` when a group
-/// with the same canonical placement signature has been encoded before
-/// (see [`crate::sig`]). One [`CacheOutcome`] per clustered layer is pushed
-/// onto `outcomes` for the caller's sequential phase-2 accounting.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_group_optimistic_cached(
-    topo: &Clos,
-    tree: &GroupTree,
-    cfg: &EncoderConfig,
-    scratch: &mut EncodeScratch,
-    base: &EncodeCache,
-    shard: &mut CacheShard,
-    outcomes: &mut Vec<CacheOutcome>,
-) -> GroupEncoding {
-    let EncodeScratch { inputs, cluster } = scratch;
-    let layout = HeaderLayout::for_clos(topo);
-    let d_spine = if tree.num_pods() > 1 {
-        let n = fill_inputs(
-            inputs,
-            topo.spine_down_ports(),
-            tree.pods().map(|p| (p.0, tree.leaf_ports_in_pod(topo, p))),
-        );
-        cluster_layer_cached(
-            &inputs[..n],
-            &spine_cluster_cfg(&layout, cfg),
-            base,
-            shard,
-            outcomes,
-            cluster,
-        )
-    } else {
-        LayerEncoding::empty()
-    };
-
-    let leaf_bits = leaf_bit_budget(&layout, cfg, &d_spine);
-
-    let d_leaf = if tree.num_leaves() > 1 {
-        let n = fill_inputs(
-            inputs,
-            topo.leaf_down_ports(),
-            tree.leaves()
-                .map(|l| (l.0, tree.host_ports_on_leaf(topo, l))),
-        );
-        cluster_layer_cached(
-            &inputs[..n],
-            &leaf_cluster_cfg(&layout, cfg, leaf_bits),
-            base,
-            shard,
-            outcomes,
             cluster,
         )
     } else {

@@ -31,8 +31,8 @@ use crate::packet::FlightPacket;
 
 /// The group table's hash map type. IPv4 keys are tiny and fully random in
 /// the low octets, so the default SipHash is pure overhead on the lookup
-/// fast path — the pass-through fingerprint hasher from `elmo_core::sig`
-/// (a 5-bit-rotate multiply fold) is an order of magnitude cheaper per
+/// fast path — [`SigHasher`] from `elmo_core::det` (a 5-bit-rotate
+/// multiply fold) is an order of magnitude cheaper per
 /// probe and deterministic across runs.
 type GroupTable = HashMap<Ipv4Addr, PortBitmap, BuildHasherDefault<SigHasher>>;
 
@@ -435,7 +435,7 @@ impl NetworkSwitch {
     }
 
     /// Iterate over every installed s-rule. Table order is hash order
-    /// (deterministic under [`elmo_core::sig::SigHasher`] but not sorted);
+    /// (deterministic under [`elmo_core::det::SigHasher`] but not sorted);
     /// collect and sort when a canonical order matters.
     pub fn srules(&self) -> impl Iterator<Item = (&Ipv4Addr, &PortBitmap)> {
         self.group_table.iter()

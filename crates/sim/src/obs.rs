@@ -81,10 +81,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "trace.flight_recorder.dumps",
     "timeline.windows_closed",
     "timeline.windows_evicted",
-    // Encoding memoization (shared by the controller batch path and the
-    // sweep; hit rate is the tenant-reuse signal the bench reports).
-    "encode.cache_hit",
-    "encode.cache_miss",
     // Sweep / workload (§5.1.1-2).
     "sim.sweep.groups_encoded",
     "sim.sweep.reencoded",

@@ -15,7 +15,6 @@
 use elmo_controller::batch::{self, SRuleReq};
 use elmo_controller::srules::{SRuleSpace, UsageStats};
 use elmo_core::HeaderLayout;
-use elmo_core::{CacheOutcome, CacheShard, EncodeCache};
 use elmo_core::{EncodeScratch, EncoderConfig, GroupEncoding};
 use elmo_topology::{Clos, GroupTree, HostId};
 use elmo_workloads::{Workload, WorkloadConfig};
@@ -26,14 +25,10 @@ use crate::metrics::{self, GroupTraffic, Summary};
 /// Sweep metrics. `groups_encoded` is recorded inside parallel workers
 /// (commutative); everything else from the sequential fold. The
 /// `header_bytes` histogram is the per-sender header-size distribution of
-/// Figures 4/5 (left panels) as a live metric. The cache counters share
-/// their names with the controller batch pipeline: both paths feed the one
-/// declared `encode.cache_hit` / `encode.cache_miss` contract.
+/// Figures 4/5 (left panels) as a live metric.
 struct SweepMetrics {
     groups_encoded: elmo_obs::Counter,
     reencoded: elmo_obs::Counter,
-    cache_hit: elmo_obs::Counter,
-    cache_miss: elmo_obs::Counter,
     header_bytes: elmo_obs::Histogram,
 }
 
@@ -42,8 +37,6 @@ fn ometrics() -> &'static SweepMetrics {
     M.get_or_init(|| SweepMetrics {
         groups_encoded: elmo_obs::counter("sim.sweep.groups_encoded"),
         reencoded: elmo_obs::counter("sim.sweep.reencoded"),
-        cache_hit: elmo_obs::counter("encode.cache_hit"),
-        cache_miss: elmo_obs::counter("encode.cache_miss"),
         header_bytes: elmo_obs::histogram("sim.sweep.header_bytes"),
     })
 }
@@ -71,10 +64,6 @@ pub struct SweepConfig {
     /// Worker threads for group encoding (0 = all available cores). Results
     /// are identical at any thread count; see `elmo_controller::batch`.
     pub threads: usize,
-    /// Memoize structural clustering decisions across groups (and across
-    /// the R sweep) via [`EncodeCache`]. Rows are bit-identical either way;
-    /// the cache only changes how fast the optimistic phase runs.
-    pub cache: bool,
 }
 
 impl SweepConfig {
@@ -90,7 +79,6 @@ impl SweepConfig {
             header_budget: 325,
             payloads: vec![1500, 64],
             threads: 1,
-            cache: true,
         }
     }
 }
@@ -140,16 +128,13 @@ struct GroupEval {
     sender: HostId,
     enc: GroupEncoding,
     reqs: Vec<SRuleReq>,
-    /// Cache outcomes (in layer order) for deterministic phase-2 absorption.
-    cache: Vec<CacheOutcome>,
     header_bytes: f64,
     /// One entry per configured payload size.
     traffic: Vec<GroupTraffic>,
 }
 
-/// Per-worker scratch: encode scratch, recorded s-rule requests, the
-/// worker-local cache shard, and the per-group cache outcomes.
-type WorkerState = (EncodeScratch, Vec<SRuleReq>, CacheShard, Vec<CacheOutcome>);
+/// Per-worker scratch: encode scratch and recorded s-rule requests.
+type WorkerState = (EncodeScratch, Vec<SRuleReq>);
 
 /// Measure one encoding: per-sender header bytes plus one traffic row per
 /// payload size. One fabric walk total — [`metrics::traffic_model`] captures
@@ -169,31 +154,23 @@ fn measure(
     (model.header_len as f64, traffic)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn eval_group(
     topo: &Clos,
     layout: &HeaderLayout,
     encoder: &EncoderConfig,
     payloads: &[u64],
-    base: Option<&EncodeCache>,
     tree: GroupTree,
     sender: HostId,
     ws: &mut WorkerState,
 ) -> GroupEval {
-    let (scratch, reqs, shard, outcomes) = ws;
-    let enc = match base {
-        Some(base) => batch::encode_group_optimistic_cached(
-            topo, &tree, encoder, scratch, base, shard, outcomes, reqs,
-        ),
-        None => batch::encode_group_optimistic(topo, &tree, encoder, scratch, reqs),
-    };
+    let (scratch, reqs) = ws;
+    let enc = batch::encode_group_optimistic(topo, &tree, encoder, scratch, reqs);
     let (header_bytes, traffic) = measure(topo, layout, payloads, &tree, &enc, sender);
     GroupEval {
         tree,
         sender,
         enc,
         reqs: std::mem::take(reqs),
-        cache: std::mem::take(outcomes),
         header_bytes,
         traffic,
     }
@@ -228,24 +205,17 @@ impl RowAccum {
         }
     }
 
-    /// Phase 2 for one group: absorb its cache outcomes (group order keeps
-    /// hit/miss counts thread-count-independent), then admit its optimistic
-    /// reservations, or re-encode it serially against the live tracker
-    /// (serial semantics: allocations that succeed before a refusal stick).
+    /// Phase 2 for one group: admit its optimistic reservations, or
+    /// re-encode it serially against the live tracker (serial semantics:
+    /// allocations that succeed before a refusal stick).
     fn fold(
         &mut self,
         topo: &Clos,
         layout: &HeaderLayout,
         encoder: &EncoderConfig,
         payloads: &[u64],
-        cache: Option<&mut EncodeCache>,
         mut ev: GroupEval,
     ) {
-        if let Some(cache) = cache {
-            let (hits, misses) = cache.absorb(std::mem::take(&mut ev.cache));
-            ometrics().cache_hit.add(hits);
-            ometrics().cache_miss.add(misses);
-        }
         if !batch::try_admit(&mut self.srules, &ev.reqs) {
             ometrics().reencoded.inc();
             ev.enc = batch::encode_group_admitted(
@@ -310,25 +280,8 @@ impl RowAccum {
 /// two-phase pipeline in [`elmo_controller::batch`]; every result — s-rule
 /// occupancy, coverage counts, float traffic summaries — is bit-identical to
 /// the single-threaded run because admission and metric folding happen
-/// sequentially in group order. With `cfg.cache` set, structural clustering
-/// decisions are memoized across groups and R-values ([`EncodeCache`]) —
-/// rows are still bit-identical to the uncached run.
+/// sequentially in group order.
 pub fn run(cfg: &SweepConfig) -> SweepResult {
-    if cfg.cache {
-        run_with_cache(cfg, &mut EncodeCache::new())
-    } else {
-        run_impl(cfg, None)
-    }
-}
-
-/// Run the sweep against a caller-owned [`EncodeCache`], which warms across
-/// calls: rerunning the same workload against a warmed cache hits on every
-/// group. Used by the bench harness to time warm vs cold encoding.
-pub fn run_with_cache(cfg: &SweepConfig, cache: &mut EncodeCache) -> SweepResult {
-    run_impl(cfg, Some(cache))
-}
-
-fn run_impl(cfg: &SweepConfig, mut cache: Option<&mut EncodeCache>) -> SweepResult {
     let topo = cfg.topo;
     let layout = HeaderLayout::for_clos(&topo);
     let threads = elmo_core::resolve_threads(cfg.threads);
@@ -373,22 +326,12 @@ fn run_impl(cfg: &SweepConfig, mut cache: Option<&mut EncodeCache>) -> SweepResu
         let mut acc = RowAccum::new(&topo, cfg);
         for chunk in workload.groups.chunks(CHUNK) {
             // Phase 1 (parallel): tree + optimistic encode + metrics.
-            // Workers see a frozen view of the cache; fresh entries ride
-            // back in each group's outcomes.
             let evals = {
                 let _span = elmo_obs::span!("sweep_phase1");
-                let base = cache.as_deref();
                 elmo_core::parallel_map_with(
                     chunk.len(),
                     threads,
-                    || {
-                        (
-                            EncodeScratch::new(),
-                            Vec::new(),
-                            CacheShard::default(),
-                            Vec::new(),
-                        )
-                    },
+                    || (EncodeScratch::new(), Vec::new()),
                     |ws, i| {
                         let hosts = workload.member_hosts(&chunk[i]);
                         let tree = GroupTree::new(&topo, hosts.iter().copied());
@@ -402,7 +345,6 @@ fn run_impl(cfg: &SweepConfig, mut cache: Option<&mut EncodeCache>) -> SweepResu
                             &layout,
                             &encoder,
                             &cfg.payloads,
-                            base,
                             tree,
                             sender,
                             ws,
@@ -410,18 +352,10 @@ fn run_impl(cfg: &SweepConfig, mut cache: Option<&mut EncodeCache>) -> SweepResu
                     },
                 )
             };
-            // Phase 2 (sequential, group order): cache absorption +
-            // admission + metric fold.
+            // Phase 2 (sequential, group order): admission + metric fold.
             let _span = elmo_obs::span!("sweep_fold");
             for ev in evals.into_iter().flatten() {
-                acc.fold(
-                    &topo,
-                    &layout,
-                    &encoder,
-                    &cfg.payloads,
-                    cache.as_deref_mut(),
-                    ev,
-                );
+                acc.fold(&topo, &layout, &encoder, &cfg.payloads, ev);
             }
         }
         let row = acc.into_row(&topo, cfg, r, workload.groups.len());

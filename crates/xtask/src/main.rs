@@ -7,8 +7,8 @@
 //!    bit-reproducibility guarantee. Use `elmo_core::DetHashMap`/
 //!    `DetHashSet` (or spell out a fixed third hasher parameter).
 //! 2. **Pure encode paths**: `elmo_core`'s encoding hot path
-//!    (`cluster.rs`, `sig.rs`, `min_k_union.rs`, `par.rs`) must stay free
-//!    of wall-clock reads (`Instant::now`, `SystemTime`) and float
+//!    (`cluster.rs`, `min_k_union.rs`, `par.rs`) must stay free of
+//!    wall-clock reads (`Instant::now`, `SystemTime`) and float
 //!    arithmetic — encodings must be exactly reproducible across runs,
 //!    thread counts, and architectures.
 //! 3. **Declared-metric contract**: every literal metric name passed to
@@ -227,7 +227,6 @@ fn top_level_commas(s: &str) -> usize {
 fn is_encode_path(rel: &str) -> bool {
     [
         "crates/core/src/cluster.rs",
-        "crates/core/src/sig.rs",
         "crates/core/src/min_k_union.rs",
         "crates/core/src/par.rs",
         // The churn delta patcher sits on the membership hot path and its

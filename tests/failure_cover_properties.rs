@@ -1,15 +1,12 @@
-//! Property tests for failure handling: whenever the greedy set cover
-//! reports `complete`, the chosen (spine, core-port) combinations really
-//! reach every member pod and local leaf through alive switches only; and
-//! `complete = false` only when no cover exists at all.
+//! Seeded property tests for failure handling: whenever the greedy set
+//! cover reports `complete`, the chosen (spine, core-port) combinations
+//! really reach every member pod and local leaf through alive switches
+//! only; and `complete = false` only when no cover exists at all. Inputs
+//! come from the in-repo SplitMix64 generator, one seed per case.
 
-// Requires the real `proptest` crate, which is not vendored in this
-// offline workspace. Enable with `cargo test --features proptest` when
-// the registry is reachable.
-#![cfg(feature = "proptest")]
+mod common;
 
-use proptest::prelude::*;
-
+use common::{cases, distinct};
 use elmo::topology::{
     Clos, CoreId, FailureState, GroupTree, HostId, PodId, SpineId, UpstreamCover,
 };
@@ -60,17 +57,14 @@ fn check_cover(topo: &Clos, failures: &FailureState, tree: &GroupTree, sender_po
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn greedy_cover_is_sound(
-        member_seeds in proptest::collection::btree_set(0u32..64, 2..12),
-        dead_spines in proptest::collection::btree_set(0u32..8, 0..5),
-        dead_cores in proptest::collection::btree_set(0u32..4, 0..3),
-        sender_pod in 0u32..4,
-    ) {
-        let topo = Clos::paper_example();
+#[test]
+fn greedy_cover_is_sound() {
+    let topo = Clos::paper_example();
+    cases(0xC0FE_0000, 256, |rng| {
+        let members = distinct(rng, 64, 2, 12);
+        let dead_spines = distinct(rng, 8, 0, 5);
+        let dead_cores = distinct(rng, 4, 0, 3);
+        let sender_pod = PodId(rng.below(4) as u32);
         let mut failures = FailureState::none();
         for s in dead_spines {
             failures.fail_spine(SpineId(s));
@@ -78,23 +72,22 @@ proptest! {
         for c in dead_cores {
             failures.fail_core(CoreId(c));
         }
-        let tree = GroupTree::new(&topo, member_seeds.into_iter().map(HostId));
-        check_cover(&topo, &failures, &tree, PodId(sender_pod));
-    }
+        let tree = GroupTree::new(&topo, members.into_iter().map(HostId));
+        check_cover(&topo, &failures, &tree, sender_pod);
+    });
+}
 
-    #[test]
-    fn healthy_network_cover_is_minimal(
-        member_seeds in proptest::collection::btree_set(0u32..64, 2..12),
-        sender_pod in 0u32..4,
-    ) {
-        let topo = Clos::paper_example();
-        let tree = GroupTree::new(&topo, member_seeds.into_iter().map(HostId));
-        let cover = UpstreamCover::compute(
-            &topo, &FailureState::none(), &tree, PodId(sender_pod), true,
-        );
-        prop_assert!(cover.complete);
+#[test]
+fn healthy_network_cover_is_minimal() {
+    let topo = Clos::paper_example();
+    cases(0x4EA1_0000, 256, |rng| {
+        let members = distinct(rng, 64, 2, 12);
+        let sender_pod = PodId(rng.below(4) as u32);
+        let tree = GroupTree::new(&topo, members.into_iter().map(HostId));
+        let cover = UpstreamCover::compute(&topo, &FailureState::none(), &tree, sender_pod, true);
+        assert!(cover.complete);
         // Without failures one spine and at most one core port suffice.
-        prop_assert!(cover.leaf_up_ports.len() <= 1);
-        prop_assert!(cover.spine_up_ports.len() <= 1);
-    }
+        assert!(cover.leaf_up_ports.len() <= 1);
+        assert!(cover.spine_up_ports.len() <= 1);
+    });
 }

@@ -4,13 +4,10 @@
 //! discussion puts hypervisors in charge of dropping malicious packets,
 //! but the network switches must survive whatever still reaches them).
 //!
-//! Two tiers:
-//! - an always-on deterministic suite (`deterministic` module below) that
-//!   drives seeded pseudo-random bytes and structured corruptions of valid
-//!   packets through `ElmoHeader::decode`, `ElmoPacketRepr::parse`, and
-//!   `FlightPacket::parse`, asserting typed errors rather than panics;
-//! - a property-based suite gated behind `--features proptest` (the crate
-//!   is not vendored in this offline workspace).
+//! Every test drives seeded pseudo-random bytes or structured corruptions
+//! of valid packets through `ElmoHeader::decode`, `ElmoPacketRepr::parse`,
+//! `FlightPacket::parse`, the network switches and the hypervisor,
+//! asserting typed errors or counted drops rather than panics.
 
 use elmo::core::{ElmoHeader, HeaderLayout};
 use elmo::dataplane::{ElmoPacketRepr, FlightPacket};
@@ -383,81 +380,70 @@ mod obs_documents {
     }
 }
 
-#[cfg(feature = "proptest")]
-mod property_based {
-    use proptest::prelude::*;
+/// Seeded random bytes into every switch role, on upstream and downstream
+/// ports: the switch may drop (and count) but must not panic, and must
+/// never emit copies for garbage.
+#[test]
+fn switches_survive_garbage() {
+    use elmo::dataplane::{NetworkSwitch, SwitchConfig};
+    use elmo::topology::{CoreId, LeafId, SpineId};
 
-    use super::layout;
-    use elmo::core::{ElmoHeader, HeaderLayout};
-    use elmo::dataplane::{ElmoPacketRepr, HypervisorSwitch, NetworkSwitch, SwitchConfig};
-    use elmo::topology::{Clos, CoreId, HostId, LeafId, SpineId};
+    let topo = Clos::paper_example();
+    let layout = layout();
+    let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
+    let mut spine = NetworkSwitch::new_spine(topo, SpineId(0), SwitchConfig::default());
+    let mut core = NetworkSwitch::new_core(topo, CoreId(0), SwitchConfig::default());
+    let mut rng = SplitMix64(0x5a_17_c4_e5);
+    for case in 0..512usize {
+        let mut bytes = vec![0u8; case % 96];
+        rng.fill(&mut bytes);
+        let ingress = case % 4;
+        assert!(leaf.process(ingress, &bytes, &layout).is_empty());
+        assert!(leaf.process(8 + ingress % 2, &bytes, &layout).is_empty());
+        assert!(spine.process(ingress % 2, &bytes, &layout).is_empty());
+        assert!(spine.process(2 + ingress % 2, &bytes, &layout).is_empty());
+        assert!(core.process(ingress, &bytes, &layout).is_empty());
+    }
+}
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+/// Seeded random bytes into the hypervisor receive path and the IGMP
+/// interceptor: nothing is delivered and nothing panics.
+#[test]
+fn hypervisor_survives_garbage() {
+    use elmo::dataplane::{HypervisorSwitch, VmSlot};
+    use elmo::topology::HostId;
 
-        /// Raw bytes into the header decoder: error or success, never a panic,
-        /// and success must re-encode to a prefix-consistent length.
-        #[test]
-        fn header_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let layout = layout();
-            if let Ok((header, used)) = ElmoHeader::decode(&bytes, &layout) {
-                prop_assert!(used <= bytes.len());
-                prop_assert_eq!(header.byte_len(&layout), used);
-            }
-        }
+    let layout = layout();
+    let mut hv = HypervisorSwitch::new(HostId(5));
+    let mut rng = SplitMix64(0x4f_90_55_e1);
+    for case in 0..512usize {
+        let mut bytes = vec![0u8; case % 96];
+        rng.fill(&mut bytes);
+        assert!(hv.receive(&bytes, &layout).is_empty());
+        let _ = hv.intercept_igmp(VmSlot(0), &bytes);
+    }
+}
 
-        /// Raw bytes into the full packet parser.
-        #[test]
-        fn packet_parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let _ = ElmoPacketRepr::parse(&bytes, &layout());
-        }
+/// Every single-bit flip inside the IPv4 header of a valid packet breaks
+/// the ones-complement checksum, so the leaf drops and counts it.
+#[test]
+fn ipv4_header_bit_flips_are_dropped() {
+    use elmo::dataplane::{NetworkSwitch, SwitchConfig};
+    use elmo::topology::LeafId;
 
-        /// Raw bytes into every switch role, on both upstream and downstream
-        /// ports: the switch may drop (and count) but must not panic, and must
-        /// never emit copies for garbage.
-        #[test]
-        fn switches_survive_garbage(
-            bytes in proptest::collection::vec(any::<u8>(), 0..96),
-            ingress in 0usize..4,
-        ) {
-            let topo = Clos::paper_example();
-            let layout = layout();
+    let topo = Clos::paper_example();
+    let layout = layout();
+    let pkt = valid_packet(&layout);
+    for at in 14..34 {
+        for bit in 0..8 {
+            let mut corrupted = pkt.clone();
+            corrupted[at] ^= 1 << bit;
             let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
-            let mut spine = NetworkSwitch::new_spine(topo, SpineId(0), SwitchConfig::default());
-            let mut core = NetworkSwitch::new_core(topo, CoreId(0), SwitchConfig::default());
-            prop_assert!(leaf.process(ingress, &bytes, &layout).is_empty());
-            prop_assert!(leaf.process(8 + ingress % 2, &bytes, &layout).is_empty());
-            prop_assert!(spine.process(ingress % 2, &bytes, &layout).is_empty());
-            prop_assert!(spine.process(2 + ingress % 2, &bytes, &layout).is_empty());
-            prop_assert!(core.process(ingress, &bytes, &layout).is_empty());
-        }
-
-        /// Raw bytes into the hypervisor receive path and the IGMP interceptor.
-        #[test]
-        fn hypervisor_survives_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
-            let layout = layout();
-            let mut hv = HypervisorSwitch::new(HostId(5));
-            prop_assert!(hv.receive(&bytes, &layout).is_empty());
-            let _ = hv.intercept_igmp(elmo::dataplane::VmSlot(0), &bytes);
-        }
-
-        /// Bit-flip corruption of a valid packet: the data plane must either
-        /// drop it (checksum/structure) or deliver without panicking — and a
-        /// flipped IPv4 header byte must always be caught by the checksum.
-        #[test]
-        fn bit_flips_are_contained(flip_at in 14usize..34, flip_bit in 0u8..8) {
-            let topo = Clos::paper_example();
-            let layout = HeaderLayout::for_clos(&topo);
-            let mut pkt = super::valid_packet(&layout);
-            // Flip one bit inside the IPv4 header.
-            pkt[flip_at] ^= 1 << flip_bit;
-            let mut leaf = NetworkSwitch::new_leaf(topo, LeafId(0), SwitchConfig::default());
-            let out = leaf.process(0, &pkt, &layout);
-            // A corrupted IPv4 header must be dropped by the checksum — unless
-            // the flip hit the checksum-neutral... there is none: any single
-            // bit flip breaks the ones-complement sum.
-            prop_assert!(out.is_empty());
-            prop_assert_eq!(leaf.stats.dropped_parse, 1);
+            assert!(
+                leaf.process(0, &corrupted, &layout).is_empty(),
+                "flip at byte {at} bit {bit} forwarded"
+            );
+            assert_eq!(leaf.stats.dropped_parse, 1, "flip at byte {at} bit {bit}");
         }
     }
 }

@@ -3,13 +3,10 @@
 //! including float summaries, whose accumulation order is pinned by the
 //! sequential phase-2 fold — and identical s-rule occupancy, even when
 //! limited group-table capacity forces the admission-failure re-encode
-//! path. The encode cache must be equally invisible: cached and uncached
-//! sweeps agree bit-for-bit, and the hit/miss accounting itself is a pure
-//! function of the workload, not of the thread count.
+//! path.
 
 use std::sync::Mutex;
 
-use elmo::core::EncodeCache;
 use elmo::sim::{sweep, SweepConfig};
 use elmo::topology::Clos;
 use elmo::workloads::{GroupSizeDist, WorkloadConfig};
@@ -71,114 +68,6 @@ fn sweep_with_limited_srule_capacity_is_identical() {
         let result = sweep::run(&cfg);
         assert_eq!(result.rows, reference.rows, "threads={threads}");
     }
-}
-
-/// A configuration the encode cache actually engages with: dispersed
-/// placement (`P = 1`) on a wide fabric plus a large minimum group size
-/// makes most groups span well over [`elmo::core::sig::CACHE_MIN_ROWS`]
-/// leaves, and the reduced header budget presses those leaf layers so they
-/// take the cacheable greedy path instead of the (uncached) fast path.
-fn cache_stress_config() -> SweepConfig {
-    let topo = Clos::scaled_fabric(4, 12, 8); // 48 leaves, 384 hosts
-    let workload = WorkloadConfig {
-        tenants: 12,
-        total_groups: 160,
-        host_vm_cap: 20,
-        placement_p: 2,
-        min_group_size: 64,
-        dist: GroupSizeDist::Uniform,
-        seed: 0x5EED,
-    };
-    let mut cfg = SweepConfig::paper(topo, workload);
-    cfg.r_values = vec![0, 6, 12];
-    cfg.header_budget = 48;
-    cfg
-}
-
-/// Remove the cache accounting counters so cached and uncached metric
-/// snapshots can be compared: they are the only metrics allowed to differ
-/// between the two modes.
-fn scrub_cache_counters(snap: &elmo::obs::Snapshot) -> elmo::obs::Snapshot {
-    let mut s = snap.clone();
-    s.counters.remove("encode.cache_hit");
-    s.counters.remove("encode.cache_miss");
-    s
-}
-
-#[test]
-fn cached_sweep_is_bit_identical_to_uncached_at_any_thread_count() {
-    let _guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    elmo::obs::set_enabled(true);
-    let mut cfg = cache_stress_config();
-
-    // Uncached single-thread run: the ground truth for rows and metrics.
-    cfg.cache = false;
-    cfg.threads = 1;
-    elmo::obs::reset();
-    let reference = sweep::run(&cfg);
-    let ref_snap = elmo::obs::snapshot().deterministic();
-    assert_eq!(
-        ref_snap.counter("encode.cache_miss").unwrap_or(0),
-        0,
-        "uncached run must not touch the cache counters"
-    );
-
-    cfg.cache = true;
-    let mut cached_snap: Option<elmo::obs::Snapshot> = None;
-    for threads in [1, 2, 8] {
-        cfg.threads = threads;
-        elmo::obs::reset();
-        let result = sweep::run(&cfg);
-        let snap = elmo::obs::snapshot().deterministic();
-
-        // Rows (floats included) are bit-identical to the uncached run.
-        assert_eq!(result.rows, reference.rows, "threads={threads}");
-        assert_eq!(result.li_leaf, reference.li_leaf);
-        assert_eq!(result.li_spine, reference.li_spine);
-        assert_eq!(result.li_core, reference.li_core);
-
-        // The cache actually engaged: misses on first sight, hits when the
-        // same placement signature recurs across groups and R-values.
-        let misses = snap.counter("encode.cache_miss").unwrap_or(0);
-        let hits = snap.counter("encode.cache_hit").unwrap_or(0);
-        assert!(misses > 0, "threads={threads}: cache never engaged");
-        assert!(hits > 0, "threads={threads}: no signature ever recurred");
-
-        // Every non-cache metric matches the uncached run exactly.
-        assert_eq!(
-            scrub_cache_counters(&snap).to_json(),
-            scrub_cache_counters(&ref_snap).to_json(),
-            "threads={threads}: cached metrics diverged from uncached"
-        );
-
-        // And the hit/miss accounting itself is thread-count-independent,
-        // because outcomes are absorbed sequentially in group order.
-        match &cached_snap {
-            None => cached_snap = Some(snap),
-            Some(first) => assert_eq!(
-                first.to_json(),
-                snap.to_json(),
-                "cache accounting diverged at threads={threads}"
-            ),
-        }
-    }
-
-    // A warm rerun against a persistent cache: every cacheable layer hits,
-    // none misses, and the rows still match the uncached ground truth.
-    let mut cache = EncodeCache::new();
-    cfg.threads = 1;
-    let cold = sweep::run_with_cache(&cfg, &mut cache);
-    assert_eq!(cold.rows, reference.rows);
-    elmo::obs::reset();
-    let warm = sweep::run_with_cache(&cfg, &mut cache);
-    let warm_snap = elmo::obs::snapshot();
-    assert_eq!(warm.rows, reference.rows, "warm cache perturbed the rows");
-    assert_eq!(
-        warm_snap.counter("encode.cache_miss").unwrap_or(0),
-        0,
-        "a warmed cache must hit on every cacheable layer"
-    );
-    assert!(warm_snap.counter("encode.cache_hit").unwrap_or(0) > 0);
 }
 
 #[test]
